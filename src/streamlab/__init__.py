@@ -1,7 +1,7 @@
 """streamlab: a desk-scale lab for measuring the runtime overhead of a
 unified dataflow layer over native mini stream engines."""
 
-from .broker import AckMode, LogBroker, LogEntry, TopicConfig
+from .broker import LogBroker, LogEntry, TopicConfig
 from .corpus import CorpusSpec, SearchLogRecord, generate_corpus, parse_record, send, serialize_record
 from .harness import BenchmarkConfig, phase_execute, phase_ingest
 from .microbatch import BatchPolicy, MicrobatchEngine
@@ -12,7 +12,6 @@ from .unified import Pipeline, translate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AckMode",
     "ApiKind",
     "BatchPolicy",
     "BenchmarkConfig",

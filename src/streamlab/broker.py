@@ -13,8 +13,6 @@ keeps the measurement independent of any engine's own metrics.
 
 from __future__ import annotations
 
-import enum
-import queue
 import threading
 import time
 from array import array
@@ -48,11 +46,6 @@ class EmptyPartitionError(BrokerError):
     pass
 
 
-class AckMode(enum.Enum):
-    FIRE_AND_FORGET = "fire_and_forget"
-    CONFIRMED = "confirmed"
-
-
 @dataclass(frozen=True)
 class LogEntry:
     offset: int
@@ -64,7 +57,6 @@ class LogEntry:
 class TopicConfig:
     name: str
     partitions: int = 1
-    ack_mode: AckMode = AckMode.CONFIRMED
 
     def __post_init__(self):
         if not self.name:
@@ -115,52 +107,12 @@ class _Partition:
         return self._timestamps[0], self._timestamps[n - 1]
 
 
-class _Flush:
-    def __init__(self):
-        self.done = threading.Event()
-
-
-class _AsyncWriter:
-    """Single background writer draining fire-and-forget appends.
-
-    One writer per topic: submissions from any one producer keep their
-    relative order because the queue is FIFO and there is exactly one
-    consumer."""
-
-    def __init__(self, topic_name: str, partitions: list[_Partition]):
-        self._partitions = partitions
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, name=f"minilog-writer-{topic_name}", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, partition: int, payload: bytes) -> None:
-        self._queue.put((partition, payload))
-
-    def flush(self) -> None:
-        marker = _Flush()
-        self._queue.put(marker)
-        marker.done.wait()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if isinstance(item, _Flush):
-                item.done.set()
-                continue
-            partition, payload = item
-            self._partitions[partition].append(payload)
-
-
 class Topic:
     """Handle for one topic; all log operations live here."""
 
     def __init__(self, config: TopicConfig):
         self.config = config
         self._partitions = [_Partition() for _ in range(config.partitions)]
-        self._writer: _AsyncWriter | None = None
-        self._writer_lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -173,26 +125,11 @@ class Topic:
             )
         return self._partitions[index]
 
-    def append(
-        self, partition: int, payload: bytes, ack: AckMode | None = None
-    ) -> tuple[int, int] | None:
-        """Append a payload and return (offset, append_ts).
-
-        In fire-and-forget mode the append is handed to a background
-        writer and None is returned; the entry becomes readable once
-        drained (see flush). Ordering among a single producer's appends
-        is preserved in both modes.
-        """
-        part = self._partition(partition)
-        mode = ack if ack is not None else self.config.ack_mode
-        payload = bytes(payload)
-        if mode is AckMode.CONFIRMED:
-            return part.append(payload)
-        with self._writer_lock:
-            if self._writer is None:
-                self._writer = _AsyncWriter(self.name, self._partitions)
-        self._writer.submit(partition, payload)
-        return None
+    def append(self, partition: int, payload: bytes) -> tuple[int, int]:
+        """Append a payload and return (offset, append_ts). The entry is
+        readable when the call returns, so appends from one producer
+        keep their order."""
+        return self._partition(partition).append(bytes(payload))
 
     def read(self, partition: int, from_offset: int, max_count: int) -> list[LogEntry]:
         """Return entries [from_offset, from_offset+max_count) without
@@ -205,11 +142,6 @@ class Topic:
 
     def high_water_mark(self, partition: int) -> int:
         return len(self._partition(partition))
-
-    def flush(self) -> None:
-        """Block until all queued fire-and-forget appends are readable."""
-        if self._writer is not None:
-            self._writer.flush()
 
 
 class LogBroker:

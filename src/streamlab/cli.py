@@ -24,10 +24,10 @@ from .harness import (
     BenchmarkConfig,
     build_slowdown_report,
     emit_report,
+    emit_runs,
     phase_execute,
     phase_ingest,
     read_results_csv,
-    write_results_csv,
 )
 from .microbatch import BatchPolicy
 from .plan import plan_to_text
@@ -52,21 +52,25 @@ def _parse_str_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-CONFIG_KEYS = frozenset({
-    "corpus.n_records",
-    "corpus.grep_needle",
-    "corpus.grep_match_count",
-    "corpus.rng_seed",
-    "runs_per_setup",
-    "parallelisms",
-    "engines",
-    "api_kinds",
-    "queries",
-    "batch_policy.max_batch_size",
-    "batch_policy.max_batch_delay_ms",
-    "output_dir",
-    "warmup",
-})
+# One row per config key: (key, flag, parser). Every key can be set in
+# a JSON config file and by its flag; the parser turns the flag's text
+# into the value the file would hold.
+CONFIG_TABLE = (
+    ("corpus.n_records", "--corpus-n-records", int),
+    ("corpus.grep_needle", "--corpus-grep-needle", str),
+    ("corpus.grep_match_count", "--corpus-grep-match-count", int),
+    ("corpus.rng_seed", "--corpus-rng-seed", int),
+    ("runs_per_setup", "--runs", int),
+    ("parallelisms", "--parallelisms", _parse_int_list),
+    ("engines", "--engines", _parse_str_list),
+    ("api_kinds", "--api-kinds", _parse_str_list),
+    ("queries", "--queries", _parse_str_list),
+    ("batch_policy.max_batch_size", "--batch-max-size", int),
+    ("output_dir", "--output-dir", str),
+    ("warmup", "--warmup", int),
+)
+CONFIG_KEYS = frozenset(key for key, _, _ in CONFIG_TABLE)
+DEFAULT_VALUES = BenchmarkConfig(CorpusSpec(DESK_SCALE_RECORDS)).config_dict()
 
 
 def load_config_file(path: Path) -> dict:
@@ -76,29 +80,18 @@ def load_config_file(path: Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "corpus.n_records": args.corpus_n_records,
-        "corpus.grep_needle": args.corpus_grep_needle,
-        "corpus.grep_match_count": args.corpus_grep_match_count,
-        "corpus.rng_seed": args.corpus_rng_seed,
-        "runs_per_setup": args.runs,
-        "parallelisms": args.parallelisms,
-        "engines": args.engines,
-        "api_kinds": args.api_kinds,
-        "queries": args.queries,
-        "batch_policy.max_batch_size": args.batch_max_size,
-        "batch_policy.max_batch_delay_ms": args.batch_max_delay_ms,
-        "output_dir": args.output_dir,
-        "warmup": args.warmup,
+    overrides = {
+        key: getattr(args, key)
+        for key, _, _ in CONFIG_TABLE
+        if getattr(args, key, None) is not None
     }
-    overrides = {k: v for k, v in mapping.items() if v is not None}
     if getattr(args, "paper_scale", False):
         overrides["corpus.n_records"] = PAPER_SCALE_RECORDS
     return overrides
@@ -112,24 +105,19 @@ def build_benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
     if env_out:
         values["output_dir"] = env_out
     values.update(_flag_overrides(args))
-    return _config_from_values(values, Path(values.get("output_dir", "bench-out")))
+    out_dir = values.get("output_dir", DEFAULT_VALUES["output_dir"])
+    return _config_from_values(values, Path(out_dir))
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
+    for key, flag, parse in CONFIG_TABLE:
+        if key.startswith(prefix):
+            parser.add_argument(flag, type=parse, dest=key)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file (flat key paths)")
-    parser.add_argument("--corpus-n-records", type=int, dest="corpus_n_records")
-    parser.add_argument("--corpus-grep-needle", dest="corpus_grep_needle")
-    parser.add_argument("--corpus-grep-match-count", type=int, dest="corpus_grep_match_count")
-    parser.add_argument("--corpus-rng-seed", type=int, dest="corpus_rng_seed")
-    parser.add_argument("--runs", type=int, help="runs per setup")
-    parser.add_argument("--parallelisms", type=_parse_int_list)
-    parser.add_argument("--engines", type=_parse_str_list)
-    parser.add_argument("--api-kinds", type=_parse_str_list, dest="api_kinds")
-    parser.add_argument("--queries", type=_parse_str_list)
-    parser.add_argument("--batch-max-size", type=int, dest="batch_max_size")
-    parser.add_argument("--batch-max-delay-ms", type=int, dest="batch_max_delay_ms")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--warmup", type=int)
+    _add_key_flags(parser)
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the full-scale record count (1,000,001)")
 
@@ -143,18 +131,13 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _write_bench_artifacts(config, outcome) -> None:
+def _write_metadata(config) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(outcome.results, out_dir / "results.csv")
     (out_dir / "metadata.json").write_text(
         json.dumps({"config": config.config_dict(),
                     "config_hash": config.config_hash()}, indent=2, sort_keys=True)
     )
-    plans_dir = out_dir / "plans"
-    plans_dir.mkdir(exist_ok=True)
-    for slug in sorted(outcome.plans):
-        (plans_dir / f"plan-{slug}.txt").write_text(plan_to_text(outcome.plans[slug]))
 
 
 def _print_failures(failures) -> None:
@@ -169,7 +152,8 @@ def cmd_bench(args) -> int:
     broker = LogBroker()
     phase_ingest(config, broker)
     outcome = phase_execute(config, broker)
-    _write_bench_artifacts(config, outcome)
+    _write_metadata(config)
+    emit_runs(outcome.results, config.output_dir, plans=outcome.plans)
     print(f"wrote {len(outcome.results)} run results to {config.output_dir}/results.csv")
     if outcome.failures:
         _print_failures(outcome.failures)
@@ -195,31 +179,26 @@ def cmd_report(args) -> int:
 
 
 def _config_from_values(values: dict, out_dir: Path) -> BenchmarkConfig:
-    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    v = {**DEFAULT_VALUES, **values}
     try:
         return BenchmarkConfig(
             corpus_spec=CorpusSpec(
-                n_records=int(values.get("corpus.n_records", DESK_SCALE_RECORDS)),
-                grep_needle=str(values.get("corpus.grep_needle", "test")),
-                grep_match_count=values.get("corpus.grep_match_count"),
-                rng_seed=int(values.get("corpus.rng_seed", CorpusSpec(1).rng_seed)),
+                n_records=int(v["corpus.n_records"]),
+                grep_needle=str(v["corpus.grep_needle"]),
+                grep_match_count=v["corpus.grep_match_count"],
+                rng_seed=int(v["corpus.rng_seed"]),
             ),
-            runs_per_setup=int(values.get("runs_per_setup", 10)),
-            parallelisms=tuple(int(p) for p in values.get("parallelisms", (1, 2))),
-            engines=tuple(EngineKind(e) for e in values.get("engines",
-                          ("tuple", "microbatch"))),
-            api_kinds=tuple(ApiKind(a) for a in values.get("api_kinds",
-                            ("native", "unified"))),
-            queries=tuple(QueryKind(q) for q in values.get("queries",
-                          ("identity", "sample", "projection", "grep"))),
-            batch_policy=BatchPolicy(
-                max_batch_size=int(values.get("batch_policy.max_batch_size", 1000)),
-                max_batch_delay_ms=int(values.get("batch_policy.max_batch_delay_ms", 100)),
-            ),
+            runs_per_setup=int(v["runs_per_setup"]),
+            parallelisms=tuple(int(p) for p in v["parallelisms"]),
+            engines=tuple(EngineKind(e) for e in v["engines"]),
+            api_kinds=tuple(ApiKind(a) for a in v["api_kinds"]),
+            queries=tuple(QueryKind(q) for q in v["queries"]),
+            batch_policy=BatchPolicy(int(v["batch_policy.max_batch_size"])),
             output_dir=out_dir,
-            warmup=int(values.get("warmup", 0)),
+            warmup=int(v["warmup"]),
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -256,7 +235,7 @@ def cmd_all(args) -> int:
     broker = LogBroker()
     phase_ingest(config, broker)
     outcome = phase_execute(config, broker)
-    _write_bench_artifacts(config, outcome)
+    _write_metadata(config)
     report = build_slowdown_report(config, outcome.results)
     emit_report(report, outcome.results, config.output_dir, plans=outcome.plans)
     print(f"benchmark complete: {len(outcome.results)} runs, "
@@ -268,29 +247,13 @@ def cmd_all(args) -> int:
 
 
 def cmd_corpus_export(args) -> int:
-    values: dict = {}
-    if args.spec:
-        values = load_config_file(args.spec)
-        non_corpus = sorted(k for k in values if not k.startswith("corpus."))
-        if non_corpus:
-            raise ConfigError(f"corpus spec only accepts corpus.* keys, got: "
-                              f"{', '.join(non_corpus)}")
-    overrides = {
-        "corpus.n_records": args.corpus_n_records,
-        "corpus.grep_needle": args.corpus_grep_needle,
-        "corpus.grep_match_count": args.corpus_grep_match_count,
-        "corpus.rng_seed": args.corpus_rng_seed,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        spec = CorpusSpec(
-            n_records=int(values.get("corpus.n_records", DESK_SCALE_RECORDS)),
-            grep_needle=str(values.get("corpus.grep_needle", "test")),
-            grep_match_count=values.get("corpus.grep_match_count"),
-            rng_seed=int(values.get("corpus.rng_seed", CorpusSpec(1).rng_seed)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = load_config_file(args.spec) if args.spec else {}
+    non_corpus = sorted(k for k in values if not k.startswith("corpus."))
+    if non_corpus:
+        raise ConfigError(f"corpus spec only accepts corpus.* keys, got: "
+                          f"{', '.join(non_corpus)}")
+    values.update(_flag_overrides(args))
+    spec = _config_from_values(values, Path(DEFAULT_VALUES["output_dir"])).corpus_spec
     count = write_corpus(generate_corpus(spec), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
@@ -328,19 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = corpus_sub.add_parser("export", help="write the corpus to a text file")
     p_export.add_argument("--spec", type=Path, help="JSON file with corpus.* keys")
     p_export.add_argument("--out", type=Path, required=True)
-    p_export.add_argument("--corpus-n-records", type=int, dest="corpus_n_records")
-    p_export.add_argument("--corpus-grep-needle", dest="corpus_grep_needle")
-    p_export.add_argument("--corpus-grep-match-count", type=int,
-                          dest="corpus_grep_match_count")
-    p_export.add_argument("--corpus-rng-seed", type=int, dest="corpus_rng_seed")
+    _add_key_flags(p_export, prefix="corpus.")
     p_export.set_defaults(fn=cmd_corpus_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

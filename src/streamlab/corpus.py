@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .broker import AckMode, LogBroker
+from .broker import LogBroker
 
 DEFAULT_SEED = 20060301
 
@@ -190,7 +190,6 @@ def send(
     broker: LogBroker,
     topic_name: str,
     rate: float | None = None,
-    ack: AckMode = AckMode.CONFIRMED,
 ) -> IngestSummary:
     """Append all records to partition 0 of an existing, empty topic,
     in corpus order. A finite rate paces appends to records-per-second.
@@ -207,8 +206,7 @@ def send(
             delay = start + i / rate - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        topic.append(0, serialize_record(record), ack=ack)
-    topic.flush()
+        topic.append(0, serialize_record(record))
 
     count = topic.high_water_mark(0)
     if count == 0:

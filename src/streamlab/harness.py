@@ -112,7 +112,6 @@ class BenchmarkConfig:
             "api_kinds": [a.value for a in self.api_kinds],
             "queries": [q.value for q in self.queries],
             "batch_policy.max_batch_size": self.batch_policy.max_batch_size,
-            "batch_policy.max_batch_delay_ms": self.batch_policy.max_batch_delay_ms,
             "output_dir": str(self.output_dir),
             "warmup": self.warmup,
         }
@@ -400,19 +399,36 @@ def dump_plan(plan: ExecutionPlan, sink: Path) -> str:
     return text
 
 
+def emit_runs(
+    results: list[RunResult],
+    out_dir: Path,
+    plans: dict[str, ExecutionPlan] | None = None,
+) -> list[Path]:
+    """Write results.csv and one plans/plan-<slug>.txt per plan."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results_path = out_dir / "results.csv"
+    write_results_csv(results, results_path)
+    written = [results_path]
+    if plans:
+        plans_dir = out_dir / "plans"
+        plans_dir.mkdir(exist_ok=True)
+        for slug in sorted(plans):
+            plan_path = plans_dir / f"plan-{slug}.txt"
+            dump_plan(plans[slug], plan_path)
+            written.append(plan_path)
+    return written
+
+
 def emit_report(
     report: SlowdownReport,
     results: list[RunResult],
     out_dir: Path,
     plans: dict[str, ExecutionPlan] | None = None,
 ) -> list[Path]:
+    """emit_runs, then stats.csv, slowdown.csv and report.md."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    results_path = out_dir / "results.csv"
-    write_results_csv(results, results_path)
-    written.append(results_path)
+    written = emit_runs(results, out_dir, plans)
 
     stats_path = out_dir / "stats.csv"
     with open(stats_path, "w", newline="") as fh:
@@ -436,14 +452,6 @@ def emit_report(
                 f"{e.unified_mean_ms:.6f}", f"{e.native_mean_ms:.6f}",
             ])
     written.append(slowdown_path)
-
-    if plans:
-        plans_dir = out_dir / "plans"
-        plans_dir.mkdir(exist_ok=True)
-        for slug in sorted(plans):
-            plan_path = plans_dir / f"plan-{slug}.txt"
-            dump_plan(plans[slug], plan_path)
-            written.append(plan_path)
 
     report_path = out_dir / "report.md"
     report_path.write_text(_render_report_md(report))

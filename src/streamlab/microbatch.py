@@ -1,35 +1,26 @@
 """Micro-batch mini stream engine.
 
-The bounded source range is discretized into immutable batches by a
-former thread (a batch closes when it reaches max_batch_size elements
-or max_batch_delay_ms after its first element, whichever comes first;
-the final partial batch is always flushed). Each batch is split
-round-robin into p partitions processed concurrently, with a strict
-barrier between batches: every output of batch i is appended to the
-sink before any output of batch i+1.
+The bounded source range is discretized into immutable batches of
+max_batch_size elements by a former thread (the final batch may be
+smaller). The range is already in the log when the job is built, so
+each batch is one read that returns all it asks for, and no batch waits
+for data to arrive. Each batch is split round-robin into p partitions
+processed concurrently, with a strict barrier between batches: every
+output of batch i is appended to the sink before any output of batch
+i+1.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .broker import AckMode, LogBroker
+from .broker import LogBroker
 from .plan import ExecutionPlan, plan_from_topology
-from .topology import (
-    JobReport,
-    Topology,
-    TopologyBuilder,
-    TopologyError,
-    run_chain,
-    run_flush,
-)
-
-_POLL_SECONDS = 0.001
+from .topology import Engine, JobReport, Topology, run_chain, run_flush
 
 
 class InvalidPolicyError(ValueError):
@@ -39,13 +30,10 @@ class InvalidPolicyError(ValueError):
 @dataclass(frozen=True)
 class BatchPolicy:
     max_batch_size: int = 1000
-    max_batch_delay_ms: int = 100
 
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise InvalidPolicyError("max_batch_size must be positive")
-        if self.max_batch_delay_ms < 0:
-            raise InvalidPolicyError("max_batch_delay_ms must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,48 +45,24 @@ class Batch:
         return sum(len(p) for p in self.partitions)
 
 
-@dataclass(frozen=True)
-class MicrobatchTopology(Topology):
-    policy: BatchPolicy = BatchPolicy()
-
-
-class MicrobatchEngine:
-    def __init__(self, broker: LogBroker):
-        self._broker = broker
-
-    def build(
-        self,
-        source_topic: str,
-        end_offset: int,
-        policy: BatchPolicy | None = None,
-        source_name: str = "source",
-    ) -> TopologyBuilder:
-        hwm = self._broker.topic(source_topic).high_water_mark(0)
-        if end_offset > hwm:
-            raise TopologyError(
-                f"end_offset {end_offset} beyond high-water mark {hwm}"
-            )
-        policy = policy or BatchPolicy()
-
-        def factory(**kwargs):
-            return MicrobatchTopology(policy=policy, **kwargs)
-
-        return TopologyBuilder(source_topic, end_offset, source_name, factory)
+class MicrobatchEngine(Engine):
+    def __init__(self, broker: LogBroker, policy: BatchPolicy | None = None):
+        super().__init__(broker)
+        self.policy = policy or BatchPolicy()
 
     def plan(self, topology: Topology, parallelism: int = 1) -> ExecutionPlan:
         return plan_from_topology(topology, parallelism, annotation="microbatch")
 
-    def execute(self, topology: MicrobatchTopology, parallelism: int = 1) -> JobReport:
+    def execute(self, topology: Topology, parallelism: int = 1) -> JobReport:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         source = self._broker.topic(topology.source_topic)
         sink = self._broker.topic(topology.sink_topic)
-        policy = topology.policy
 
         batches: queue.SimpleQueue = queue.SimpleQueue()
         former = threading.Thread(
             target=_form_batches,
-            args=(source, topology.end_offset, policy, parallelism, batches),
+            args=(source, topology.end_offset, self.policy, parallelism, batches),
             name="microbatch-former",
             daemon=True,
         )
@@ -145,7 +109,7 @@ class MicrobatchEngine:
             raise failure
 
         for value in run_flush(ops, invocations):
-            sink.append(0, value, ack=AckMode.CONFIRMED)
+            sink.append(0, value)
             invocations[sink_name] += 1
             records_out += 1
 
@@ -165,27 +129,15 @@ def _form_batches(source, end_offset, policy, parallelism, out_queue):
     next_offset = 0
     batch_index = 0
     while next_offset < end_offset:
-        elements: list[tuple[int, bytes]] = []
-        deadline = None
-        while len(elements) < policy.max_batch_size and next_offset < end_offset:
-            want = min(policy.max_batch_size - len(elements), end_offset - next_offset)
-            chunk = source.read(0, next_offset, want)
-            if chunk:
-                if deadline is None:
-                    deadline = time.monotonic() + policy.max_batch_delay_ms / 1000.0
-                elements.extend((e.offset, e.payload) for e in chunk)
-                next_offset += len(chunk)
-            else:
-                # Source not yet fully ingested: wait for data, closing
-                # a started batch once its delay bound expires.
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                time.sleep(_POLL_SECONDS)
+        chunk = source.read(
+            0, next_offset, min(policy.max_batch_size, end_offset - next_offset)
+        )
         partitions: list[list[tuple[int, bytes]]] = [[] for _ in range(parallelism)]
-        for i, element in enumerate(elements):
-            partitions[i % parallelism].append(element)
+        for i, entry in enumerate(chunk):
+            partitions[i % parallelism].append((entry.offset, entry.payload))
         out_queue.put(Batch(batch_index, tuple(tuple(p) for p in partitions)))
         batch_index += 1
+        next_offset += len(chunk)
     out_queue.put(None)
 
 
@@ -194,7 +146,7 @@ def _process_partition(partition, ops, sink, sink_name):
     out_count = 0
     for index, payload in partition:
         for value in run_chain(ops, index, payload, invocations):
-            sink.append(0, value, ack=AckMode.CONFIRMED)
+            sink.append(0, value)
             invocations[sink_name] += 1
             out_count += 1
     return out_count, invocations

@@ -143,10 +143,9 @@ def _build_native(
 ):
     if engine_kind is EngineKind.TUPLE:
         engine = TupleEngine(broker)
-        builder = engine.build(source_topic, end_offset)
     else:
-        engine = MicrobatchEngine(broker)
-        builder = engine.build(source_topic, end_offset, policy=batch_policy)
+        engine = MicrobatchEngine(broker, batch_policy)
+    builder = engine.build(source_topic, end_offset)
 
     if spec.kind is QueryKind.SAMPLE:
         builder.filter(_sample_pred(spec), name="sample", with_index=True)

@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+from .broker import LogBroker
+
 
 class TopologyError(Exception):
     pass
@@ -95,14 +97,12 @@ class TopologyBuilder:
         source_topic: str,
         end_offset: int,
         source_name: str = "source",
-        factory: Callable[..., Topology] = Topology,
     ):
         if end_offset < 0:
             raise TopologyError("end_offset must be non-negative")
         self._source_topic = source_topic
         self._end_offset = end_offset
         self._source_name = _check_name(source_name)
-        self._factory = factory
         self._operators: list[OperatorSpec] = []
         self._sink_topic: str | None = None
 
@@ -144,13 +144,32 @@ class TopologyBuilder:
     def build(self) -> Topology:
         if self._sink_topic is None:
             raise MissingSinkError("topology has no sink; call sink_write")
-        return self._factory(
+        return Topology(
             source_topic=self._source_topic,
             end_offset=self._end_offset,
             source_name=self._source_name,
             operators=tuple(self._operators),
             sink_topic=self._sink_topic,
         )
+
+
+class Engine:
+    """What both engines share: a broker, and builders over a source
+    range that is already in the log. Since the log is append-only, an
+    engine reads that range without ever waiting for data."""
+
+    def __init__(self, broker: LogBroker):
+        self._broker = broker
+
+    def build(
+        self, source_topic: str, end_offset: int, source_name: str = "source"
+    ) -> TopologyBuilder:
+        hwm = self._broker.topic(source_topic).high_water_mark(0)
+        if end_offset > hwm:
+            raise TopologyError(
+                f"end_offset {end_offset} beyond high-water mark {hwm}"
+            )
+        return TopologyBuilder(source_topic, end_offset, source_name)
 
 
 def _check_name(name: str) -> str:

@@ -18,34 +18,13 @@ import queue
 import threading
 from collections import defaultdict
 
-from .broker import AckMode, LogBroker
 from .plan import ExecutionPlan, plan_from_topology
-from .topology import (
-    JobReport,
-    Topology,
-    TopologyBuilder,
-    TopologyError,
-    run_chain,
-    run_flush,
-)
+from .topology import Engine, JobReport, Topology, run_chain, run_flush
 
 _READ_CHUNK = 1024
 
 
-class TupleEngine:
-    def __init__(self, broker: LogBroker):
-        self._broker = broker
-
-    def build(
-        self, source_topic: str, end_offset: int, source_name: str = "source"
-    ) -> TopologyBuilder:
-        hwm = self._broker.topic(source_topic).high_water_mark(0)
-        if end_offset > hwm:
-            raise TopologyError(
-                f"end_offset {end_offset} beyond high-water mark {hwm}"
-            )
-        return TopologyBuilder(source_topic, end_offset, source_name)
-
+class TupleEngine(Engine):
     def plan(self, topology: Topology, parallelism: int = 1) -> ExecutionPlan:
         return plan_from_topology(topology, parallelism)
 
@@ -70,12 +49,12 @@ class TupleEngine:
             for entry in chunk:
                 records_in += 1
                 for value in run_chain(ops, entry.offset, entry.payload, invocations):
-                    sink.append(0, value, ack=AckMode.CONFIRMED)
+                    sink.append(0, value)
                     invocations[sink_name] += 1
                     records_out += 1
             offset += len(chunk)
         for value in run_flush(ops, invocations):
-            sink.append(0, value, ack=AckMode.CONFIRMED)
+            sink.append(0, value)
             invocations[sink_name] += 1
             records_out += 1
         return _report(records_in, records_out, invocations, topology, lanes=1)
@@ -143,11 +122,11 @@ class _Lane:
                     break
                 index, payload = item
                 for value in run_chain(ops, index, payload, self.invocations):
-                    self._sink.append(0, value, ack=AckMode.CONFIRMED)
+                    self._sink.append(0, value)
                     self.invocations[sink_name] += 1
                     self.records_out += 1
             for value in run_flush(ops, self.invocations):
-                self._sink.append(0, value, ack=AckMode.CONFIRMED)
+                self._sink.append(0, value)
                 self.invocations[sink_name] += 1
                 self.records_out += 1
         except Exception as exc:

@@ -299,32 +299,20 @@ def evaluate_local(pipeline: Pipeline, sources: dict[str, list[bytes]]) -> Local
 # Runners and translation.
 
 class TupleRunner:
-    engine_annotation = None
-
     def __init__(self, broker: LogBroker):
         self.broker = broker
 
     def new_engine(self) -> TupleEngine:
         return TupleEngine(self.broker)
 
-    def builder(self, engine, read: ReadFromLog):
-        return engine.build(read.topic, read.end_offset, source_name=_SOURCE_NODE)
-
 
 class MicrobatchRunner:
-    engine_annotation = "microbatch"
-
     def __init__(self, broker: LogBroker, policy: BatchPolicy | None = None):
         self.broker = broker
-        self.policy = policy or BatchPolicy()
+        self.policy = policy
 
     def new_engine(self) -> MicrobatchEngine:
-        return MicrobatchEngine(self.broker)
-
-    def builder(self, engine, read: ReadFromLog):
-        return engine.build(
-            read.topic, read.end_offset, policy=self.policy, source_name=_SOURCE_NODE
-        )
+        return MicrobatchEngine(self.broker, self.policy)
 
 
 _SOURCE_NODE = "UnknownRawPTransform"
@@ -430,20 +418,20 @@ def translate(pipeline: Pipeline, runner, parallelism: int = 1) -> Job:
         raise UnsupportedConstructError(
             "GroupByKey pipelines run with parallelism 1 only"
         )
-    if has_gbk and isinstance(runner, MicrobatchRunner):
+    engine = runner.new_engine()
+    if has_gbk and isinstance(engine, MicrobatchEngine):
         largest = max(
             app.transform.window.n
             for app in chain
             if isinstance(app.transform, GroupByKey)
         )
-        if largest > runner.policy.max_batch_size:
+        if largest > engine.policy.max_batch_size:
             raise UnsupportedConstructError(
                 f"window of {largest} exceeds max_batch_size "
-                f"{runner.policy.max_batch_size} on the micro-batch runner"
+                f"{engine.policy.max_batch_size} on the micro-batch runner"
             )
 
-    engine = runner.new_engine()
-    builder = runner.builder(engine, read)
+    builder = engine.build(read.topic, read.end_offset, source_name=_SOURCE_NODE)
     builder.flat_map(_make_envelope_fn(read.topic), name="FlatMap", with_index=True)
     builder.map(_without_metadata, name="withoutMetadata")
     builder.map(_values, name="Values")

@@ -4,7 +4,6 @@ import threading
 import pytest
 
 from streamlab.broker import (
-    AckMode,
     DuplicateTopicError,
     EmptyPartitionError,
     InvalidPartitionError,
@@ -185,31 +184,6 @@ def test_high_water_mark_stable_under_concurrent_reads():
         t.join()
     assert violations == []
     assert topic.high_water_mark(0) == 5000
-
-
-def test_fire_and_forget_returns_none_and_preserves_producer_order():
-    broker = LogBroker()
-    topic = broker.create_topic(TopicConfig("t"))
-
-    def produce(pid):
-        for i in range(500):
-            assert topic.append(0, b"%d:%d" % (pid, i), ack=AckMode.FIRE_AND_FORGET) is None
-
-    threads = [threading.Thread(target=produce, args=(p,)) for p in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    topic.flush()
-
-    assert topic.high_water_mark(0) == 1500
-    per_producer_seqs = {0: [], 1: [], 2: []}
-    for entry in topic.read(0, 0, 1500):
-        pid, seq = entry.payload.split(b":")
-        per_producer_seqs[int(pid)].append(int(seq))
-    for seqs in per_producer_seqs.values():
-        assert seqs == sorted(seqs)
-    assert_log_coherent(topic)
 
 
 def test_topic_config_validation():

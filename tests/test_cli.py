@@ -1,6 +1,16 @@
 import json
 
-from streamlab.cli import main
+import pytest
+
+from streamlab.cli import (
+    CONFIG_KEYS,
+    CONFIG_TABLE,
+    DEFAULT_VALUES,
+    _config_from_values,
+    build_benchmark_config,
+    build_parser,
+    main,
+)
 from streamlab.corpus import CorpusSpec, generate_corpus, serialize_record
 
 
@@ -173,7 +183,52 @@ def test_paper_scale_flag_sets_record_count(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"corpus.n_records": 301}))
     # only check the effective config; do not run a 1M-record ingest
-    from streamlab.cli import build_benchmark_config, build_parser
-
     args = build_parser().parse_args(["ingest", "--config", str(config), "--paper-scale"])
     assert build_benchmark_config(args).corpus_spec.n_records == 1_000_001
+
+
+# A non-default value for every config key: its flag text and the value
+# config_dict() then holds, which is also what a JSON file would hold.
+KEY_SAMPLES = {
+    "corpus.n_records": ("301", 301),
+    "corpus.grep_needle": ("zzq", "zzq"),
+    "corpus.grep_match_count": ("7", 7),
+    "corpus.rng_seed": ("99", 99),
+    "runs_per_setup": ("3", 3),
+    "parallelisms": ("1,3", [1, 3]),
+    "engines": ("microbatch", ["microbatch"]),
+    "api_kinds": ("unified", ["unified"]),
+    "queries": ("grep,identity", ["grep", "identity"]),
+    "batch_policy.max_batch_size": ("64", 64),
+    "output_dir": ("elsewhere-out", "elsewhere-out"),
+    "warmup": ("2", 2),
+}
+
+
+def test_every_config_key_has_a_sample():
+    assert set(KEY_SAMPLES) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("key, flag", [row[:2] for row in CONFIG_TABLE],
+                         ids=[row[0] for row in CONFIG_TABLE])
+def test_config_key_round_trip(key, flag, tmp_path, monkeypatch):
+    monkeypatch.delenv("STREAMLAB_OUTPUT_DIR", raising=False)
+    text, value = KEY_SAMPLES[key]
+    assert value != DEFAULT_VALUES[key]
+    from_flag = build_benchmark_config(build_parser().parse_args(["bench", flag, text]))
+    assert from_flag.config_dict()[key] == value
+
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({key: value}))
+    args = build_parser().parse_args(["bench", "--config", str(config_file)])
+    assert build_benchmark_config(args).config_hash() == from_flag.config_hash()
+
+    rebuilt = _config_from_values(from_flag.config_dict(), from_flag.output_dir)
+    assert rebuilt.config_hash() == from_flag.config_hash()
+
+
+def test_removed_batch_delay_bound_is_a_config_error(tmp_path):
+    assert run_cli("bench", "--batch-max-delay-ms", "5") == 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"batch_policy.max_batch_delay_ms": 5}))
+    assert run_cli("bench", "--config", str(config)) == 1

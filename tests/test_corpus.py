@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamlab.broker import AckMode, LogBroker, TopicConfig
+from streamlab.broker import LogBroker, TopicConfig
 from streamlab.corpus import (
     CorpusError,
     CorpusSpec,
@@ -178,14 +178,6 @@ class TestSend:
         broker.topic("input").append(0, b"already here")
         with pytest.raises(TopicNotEmptyError):
             send(default_records, broker, "input")
-
-    def test_send_fire_and_forget_drains(self, default_records):
-        broker = LogBroker()
-        broker.create_topic(TopicConfig("input"))
-        summary = send(default_records[:2000], broker, "input",
-                       ack=AckMode.FIRE_AND_FORGET)
-        assert summary.count == 2000
-        assert broker.topic("input").high_water_mark(0) == 2000
 
     def test_rate_limited_send_duration(self):
         records = generate_corpus(CorpusSpec(n_records=2000))

@@ -1,17 +1,9 @@
-import queue
-import threading
-import time
 from collections import Counter
 
 import pytest
 
-from streamlab.broker import LogBroker, TopicConfig
-from streamlab.microbatch import (
-    BatchPolicy,
-    InvalidPolicyError,
-    MicrobatchEngine,
-    _form_batches,
-)
+from streamlab.broker import TopicConfig
+from streamlab.microbatch import BatchPolicy, InvalidPolicyError, MicrobatchEngine
 from streamlab.topology import OperatorFailure
 from streamlab.tuple_engine import TupleEngine
 
@@ -29,20 +21,13 @@ def read_all(broker, topic):
 def test_policy_validation():
     with pytest.raises(InvalidPolicyError):
         BatchPolicy(max_batch_size=0)
-    with pytest.raises(InvalidPolicyError):
-        BatchPolicy(max_batch_delay_ms=-1)
     assert BatchPolicy().max_batch_size == 1000
-    assert BatchPolicy().max_batch_delay_ms == 100
 
 
 def test_batch_count_ceiling(ingested_broker, default_payloads):
-    engine = MicrobatchEngine(ingested_broker)
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(1000))
     out = out_topic(ingested_broker)
-    topo = (
-        engine.build("input", len(default_payloads), policy=BatchPolicy(1000, 100))
-        .sink_write(out)
-        .build()
-    )
+    topo = engine.build("input", len(default_payloads)).sink_write(out).build()
     report = engine.execute(topo, parallelism=1)
     assert report.batches == 11  # 10 full batches plus one of size 1
     assert report.records_in == 10001
@@ -58,13 +43,9 @@ def test_identity_output_order_at_p1(ingested_broker, default_payloads):
 
 
 def test_inter_batch_ordering(ingested_broker, default_payloads):
-    engine = MicrobatchEngine(ingested_broker)
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(500))
     out = out_topic(ingested_broker)
-    topo = (
-        engine.build("input", len(default_payloads), policy=BatchPolicy(500, 100))
-        .sink_write(out)
-        .build()
-    )
+    topo = engine.build("input", len(default_payloads)).sink_write(out).build()
     report = engine.execute(topo, parallelism=2)
     bounds = report.batch_sink_bounds
     assert bounds is not None and len(bounds) == report.batches
@@ -93,13 +74,9 @@ def test_cross_engine_grep_equivalence(ingested_broker, default_payloads):
 
 
 def test_batch_conservation_under_parallelism(ingested_broker, default_payloads):
-    engine = MicrobatchEngine(ingested_broker)
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(300))
     out = out_topic(ingested_broker)
-    topo = (
-        engine.build("input", len(default_payloads), policy=BatchPolicy(300, 100))
-        .sink_write(out)
-        .build()
-    )
+    topo = engine.build("input", len(default_payloads)).sink_write(out).build()
     report = engine.execute(topo, parallelism=3)
     assert report.batches == (10001 + 299) // 300
     assert report.records_in == 10001
@@ -126,31 +103,3 @@ def test_plan_annotated_microbatch(ingested_broker):
     assert [n.name for n in plan.nodes] == ["source", "filter", "sink"]
     assert all(n.annotation == "microbatch" for n in plan.nodes)
     assert all(n.parallelism == 2 for n in plan.nodes)
-
-
-def test_delay_bound_closes_partial_batches():
-    """White-box: a slowly filled source forces the delay bound to close
-    batches before they reach max_batch_size."""
-    broker = LogBroker()
-    topic = broker.create_topic(TopicConfig("slow"))
-
-    def trickle():
-        for i in range(6):
-            topic.append(0, b"%d" % i)
-            time.sleep(0.05)
-
-    feeder = threading.Thread(target=trickle)
-    batches: queue.SimpleQueue = queue.SimpleQueue()
-    feeder.start()
-    _form_batches(topic, 6, BatchPolicy(max_batch_size=100, max_batch_delay_ms=20),
-                  1, batches)
-    feeder.join()
-
-    sizes = []
-    while True:
-        batch = batches.get()
-        if batch is None:
-            break
-        sizes.append(batch.size())
-    assert sum(sizes) == 6
-    assert len(sizes) >= 2  # delay bound split the input despite size 100
