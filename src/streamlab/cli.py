@@ -22,6 +22,8 @@ from .corpus import CorpusSpec, generate_corpus, write_corpus
 from .harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
+    HarnessError,
+    Setup,
     build_slowdown_report,
     emit_report,
     emit_runs,
@@ -32,7 +34,6 @@ from .harness import (
 from .microbatch import BatchPolicy
 from .plan import plan_to_text
 from .queries import ApiKind, EngineKind, QueryKind, build_query
-from .harness import Setup
 
 OUTPUT_DIR_ENV = "STREAMLAB_OUTPUT_DIR"
 
@@ -169,8 +170,16 @@ def cmd_report(args) -> int:
         raise ConfigError(
             f"{out_dir} does not contain bench output (results.csv, metadata.json)"
         )
-    results = read_results_csv(results_path)
-    file_config = json.loads(metadata_path.read_text())["config"]
+    try:
+        results = read_results_csv(results_path)
+    except HarnessError as exc:
+        raise ConfigError(f"{results_path}: {exc}") from exc
+    try:
+        file_config = json.loads(metadata_path.read_text())["config"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"{metadata_path} is not a JSON object with a config key: {exc!r}"
+        ) from exc
     config = _config_from_values(file_config, out_dir)
     report = build_slowdown_report(config, results)
     written = emit_report(report, results, out_dir)

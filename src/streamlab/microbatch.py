@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .broker import LogBroker
 from .plan import ExecutionPlan, plan_from_topology
-from .topology import Engine, JobReport, Topology, run_chain, run_flush
+from .topology import Engine, JobReport, Topology, drain, job_report, run_chain
 
 
 class InvalidPolicyError(ValueError):
@@ -34,15 +34,6 @@ class BatchPolicy:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise InvalidPolicyError("max_batch_size must be positive")
-
-
-@dataclass(frozen=True)
-class Batch:
-    batch_index: int
-    partitions: tuple[tuple[tuple[int, bytes], ...], ...]
-
-    def size(self) -> int:
-        return sum(len(p) for p in self.partitions)
 
 
 class MicrobatchEngine(Engine):
@@ -69,9 +60,6 @@ class MicrobatchEngine(Engine):
         former.start()
 
         invocations: dict[str, int] = defaultdict(int)
-        ops = topology.operators
-        sink_name = topology.sink_name
-        records_in = 0
         records_out = 0
         batch_count = 0
         batch_sink_bounds: list[tuple[int, int]] = []
@@ -79,27 +67,27 @@ class MicrobatchEngine(Engine):
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             while True:
-                batch = batches.get()
-                if batch is None:
+                partitions = batches.get()
+                if partitions is None:
                     break
                 batch_count += 1
-                records_in += batch.size()
                 if failure is not None:
                     continue  # drain remaining batches after a failure
                 pre_hwm = sink.high_water_mark(0)
+                work = [(part, defaultdict(int)) for part in partitions if part]
+                # run_chain is passed by this module's name for it, so that
+                # a wrapper installed on microbatch.run_chain sees every call.
                 futures = [
-                    pool.submit(_process_partition, part, ops, sink, sink_name)
-                    for part in batch.partitions
-                    if part
+                    pool.submit(drain, run_chain, topology.operators, part, sink, counts)
+                    for part, counts in work
                 ]
-                for future in futures:
+                for future, (_, counts) in zip(futures, work):
                     try:
-                        out_count, local_invocations = future.result()
+                        records_out += future.result()
                     except Exception as exc:
                         failure = exc
                         continue
-                    records_out += out_count
-                    for name, count in local_invocations.items():
+                    for name, count in counts.items():
                         invocations[name] += count
                 post_hwm = sink.high_water_mark(0)
                 if post_hwm > pre_hwm:
@@ -107,27 +95,16 @@ class MicrobatchEngine(Engine):
         former.join()
         if failure is not None:
             raise failure
-
-        for value in run_flush(ops, invocations):
-            sink.append(0, value)
-            invocations[sink_name] += 1
-            records_out += 1
-
-        for op in ops:
-            invocations.setdefault(op.name, 0)
-        return JobReport(
-            records_in=records_in,
-            records_out=records_out,
-            operator_invocations=dict(invocations),
-            lanes=parallelism,
-            batches=batch_count,
-            batch_sink_bounds=batch_sink_bounds,
+        return job_report(
+            topology, records_out, invocations, lanes=parallelism,
+            batches=batch_count, batch_sink_bounds=batch_sink_bounds,
         )
 
 
 def _form_batches(source, end_offset, policy, parallelism, out_queue):
+    """Put each batch on out_queue as a tuple of p partitions of
+    (offset, payload) items, then None."""
     next_offset = 0
-    batch_index = 0
     while next_offset < end_offset:
         chunk = source.read(
             0, next_offset, min(policy.max_batch_size, end_offset - next_offset)
@@ -135,18 +112,6 @@ def _form_batches(source, end_offset, policy, parallelism, out_queue):
         partitions: list[list[tuple[int, bytes]]] = [[] for _ in range(parallelism)]
         for i, entry in enumerate(chunk):
             partitions[i % parallelism].append((entry.offset, entry.payload))
-        out_queue.put(Batch(batch_index, tuple(tuple(p) for p in partitions)))
-        batch_index += 1
+        out_queue.put(tuple(tuple(p) for p in partitions))
         next_offset += len(chunk)
     out_queue.put(None)
-
-
-def _process_partition(partition, ops, sink, sink_name):
-    invocations: dict[str, int] = defaultdict(int)
-    out_count = 0
-    for index, payload in partition:
-        for value in run_chain(ops, index, payload, invocations):
-            sink.append(0, value)
-            invocations[sink_name] += 1
-            out_count += 1
-    return out_count, invocations

@@ -20,15 +20,7 @@ from .corpus import DEFAULT_SEED, MalformedRecordError
 from .jobs import Job, make_job
 from .microbatch import BatchPolicy, MicrobatchEngine
 from .tuple_engine import TupleEngine
-from .unified import (
-    MicrobatchRunner,
-    ParDo,
-    Pipeline,
-    ReadFromLog,
-    TupleRunner,
-    WriteToLog,
-    translate,
-)
+from .unified import ParDo, Pipeline, ReadFromLog, WriteToLog, translate
 
 
 class QueryKind(enum.Enum):
@@ -108,15 +100,14 @@ def build_query(
     """Assemble an executable job for one benchmark setup."""
     if not isinstance(api_kind, ApiKind) or not isinstance(engine_kind, EngineKind):
         raise InvalidCombinationError(f"invalid combination {api_kind!r}/{engine_kind!r}")
+    if engine_kind is EngineKind.TUPLE:
+        engine = TupleEngine(broker)
+    else:
+        engine = MicrobatchEngine(broker, batch_policy)
     if api_kind is ApiKind.NATIVE:
-        return _build_native(
-            spec, engine_kind, broker, source_topic, end_offset, sink_topic,
-            parallelism, batch_policy,
-        )
-    return _build_unified(
-        spec, engine_kind, broker, source_topic, end_offset, sink_topic,
-        parallelism, batch_policy,
-    )
+        return _build_native(spec, engine, source_topic, end_offset, sink_topic, parallelism)
+    pipeline = build_unified_pipeline(spec, source_topic, end_offset, sink_topic)
+    return translate(pipeline, engine, parallelism)
 
 
 def _sample_pred(spec: QuerySpec):
@@ -137,14 +128,7 @@ def _grep_pred(spec: QuerySpec):
     return pred
 
 
-def _build_native(
-    spec, engine_kind, broker, source_topic, end_offset, sink_topic,
-    parallelism, batch_policy,
-):
-    if engine_kind is EngineKind.TUPLE:
-        engine = TupleEngine(broker)
-    else:
-        engine = MicrobatchEngine(broker, batch_policy)
+def _build_native(spec, engine, source_topic, end_offset, sink_topic, parallelism):
     builder = engine.build(source_topic, end_offset)
 
     if spec.kind is QueryKind.SAMPLE:
@@ -183,15 +167,3 @@ def build_unified_pipeline(
         )
     pipeline.apply(WriteToLog(sink_topic), pc)
     return pipeline
-
-
-def _build_unified(
-    spec, engine_kind, broker, source_topic, end_offset, sink_topic,
-    parallelism, batch_policy,
-):
-    pipeline = build_unified_pipeline(spec, source_topic, end_offset, sink_topic)
-    if engine_kind is EngineKind.TUPLE:
-        runner = TupleRunner(broker)
-    else:
-        runner = MicrobatchRunner(broker, policy=batch_policy)
-    return translate(pipeline, runner, parallelism)

@@ -4,7 +4,8 @@ Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
 sink. Chained operators run fused: each element makes one pass through
 the whole chain with one function call per operator and no
-inter-operator queueing.
+inter-operator queueing. `drain` is the one loop both engines use to
+push elements through a chain into the sink.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ _NAME_RE = re.compile(r"^[\w.:-]+$")
 @dataclass(frozen=True)
 class OperatorSpec:
     """One named node. fn is called fn(payload) or, with with_index,
-    fn(payload, source_index); flush_fn (windowing operators only) is
-    called once at drain and its outputs continue downstream."""
+    fn(payload, source_index)."""
 
     name: str
     kind: OpKind
     fn: Callable | None
     with_index: bool = False
-    flush_fn: Callable[[], list[bytes]] | None = None
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,6 @@ class Topology:
     source_name: str
     operators: tuple[OperatorSpec, ...]  # sink is the last node
     sink_topic: str
-
-    @property
-    def sink_name(self) -> str:
-        return self.operators[-1].name
 
     def node_names(self) -> list[str]:
         return [self.source_name] + [op.name for op in self.operators]
@@ -82,9 +77,6 @@ class JobReport:
     records_out: int
     operator_invocations: dict[str, int]
     lanes: int
-    # Elements never cross a thread boundary between chained operators;
-    # engines count any such handoff here so tests can assert zero.
-    intra_chain_handoffs: int = 0
     batches: int | None = None
     batch_sink_bounds: list[tuple[int, int]] | None = None
 
@@ -106,13 +98,13 @@ class TopologyBuilder:
         self._operators: list[OperatorSpec] = []
         self._sink_topic: str | None = None
 
-    def _add(self, kind: OpKind, fn, name, with_index=False, flush_fn=None):
+    def _add(self, kind: OpKind, fn, name, with_index=False):
         if self._sink_topic is not None:
             raise TopologyError("cannot add operators after sink_write")
         name = _check_name(name or self._default_name(kind))
         if name in {op.name for op in self._operators} or name == self._source_name:
             raise TopologyError(f"duplicate node name {name!r}")
-        self._operators.append(OperatorSpec(name, kind, fn, with_index, flush_fn))
+        self._operators.append(OperatorSpec(name, kind, fn, with_index))
         return self
 
     def _default_name(self, kind: OpKind) -> str:
@@ -127,9 +119,8 @@ class TopologyBuilder:
     def map(self, fn, name: str | None = None, with_index: bool = False):
         return self._add(OpKind.MAP, fn, name, with_index)
 
-    def flat_map(self, fn, name: str | None = None, with_index: bool = False,
-                 flush_fn=None):
-        return self._add(OpKind.FLAT_MAP, fn, name, with_index, flush_fn)
+    def flat_map(self, fn, name: str | None = None, with_index: bool = False):
+        return self._add(OpKind.FLAT_MAP, fn, name, with_index)
 
     def filter(self, fn, name: str | None = None, with_index: bool = False):
         return self._add(OpKind.FILTER, fn, name, with_index)
@@ -215,23 +206,32 @@ def run_chain(
     return values
 
 
-def run_flush(
-    operators: tuple[OperatorSpec, ...],
-    invocations: dict[str, int],
-) -> list[bytes]:
-    """Drain buffered operators in chain order, cascading each flush's
-    outputs through the operators downstream of it. Flushed elements
-    carry no source index (windowing operators only; index -1)."""
-    out: list[bytes] = []
-    ops = [op for op in operators if op.kind is not OpKind.SINK_WRITE]
-    for pos, op in enumerate(ops):
-        if op.flush_fn is None:
-            continue
-        downstream = tuple(ops[pos + 1:])
-        try:
-            flushed = op.flush_fn()
-        except Exception as exc:
-            raise OperatorFailure(op.name, -1, exc) from exc
-        for value in flushed:
-            out.extend(run_chain(downstream, -1, value, invocations))
-    return out
+def drain(run, operators, items, sink, invocations) -> int:
+    """Push (index, payload) items through the chain with run, a
+    run_chain, and append the survivors to partition 0 of the sink
+    topic, counting each at the sink node. Returns the number appended."""
+    appended = 0
+    for index, payload in items:
+        for value in run(operators, index, payload, invocations):
+            sink.append(0, value)
+            appended += 1
+    invocations[operators[-1].name] += appended
+    return appended
+
+
+def job_report(
+    topology: Topology, records_out: int, invocations: dict[str, int], lanes: int,
+    batches: int | None = None, batch_sink_bounds: list[tuple[int, int]] | None = None,
+) -> JobReport:
+    """The report of a completed run; every node of the chain appears,
+    with a zero count if no element reached it."""
+    for op in topology.operators:
+        invocations.setdefault(op.name, 0)
+    return JobReport(
+        records_in=topology.end_offset,
+        records_out=records_out,
+        operator_invocations=dict(invocations),
+        lanes=lanes,
+        batches=batches,
+        batch_sink_bounds=batch_sink_bounds,
+    )

@@ -1,7 +1,9 @@
-"""Unified dataflow layer: pipeline description plus engine runners.
+"""Unified dataflow layer: pipeline description plus its translation.
 
-A pipeline is a DAG of transforms over typed collections. Runners
-translate a pipeline into a native engine topology. The translation
+A pipeline is a DAG of transforms over typed collections. `translate`
+turns a linear pipeline of ParDo transforms into a topology on a given
+native engine. Windowed grouping and flatten are part of the model and
+of its local evaluation only; no engine runs them. The translation
 always emits a fixed wrapper chain around the user's transforms, and
 this chain is the measured abstraction overhead:
 
@@ -29,10 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .broker import LogBroker
 from .jobs import Job, make_job
-from .microbatch import BatchPolicy, MicrobatchEngine
-from .tuple_engine import TupleEngine
+from .topology import Engine
 
 
 class PipelineError(Exception):
@@ -296,31 +296,14 @@ def evaluate_local(pipeline: Pipeline, sources: dict[str, list[bytes]]) -> Local
 
 
 # ---------------------------------------------------------------------------
-# Runners and translation.
-
-class TupleRunner:
-    def __init__(self, broker: LogBroker):
-        self.broker = broker
-
-    def new_engine(self) -> TupleEngine:
-        return TupleEngine(self.broker)
-
-
-class MicrobatchRunner:
-    def __init__(self, broker: LogBroker, policy: BatchPolicy | None = None):
-        self.broker = broker
-        self.policy = policy
-
-    def new_engine(self) -> MicrobatchEngine:
-        return MicrobatchEngine(self.broker, self.policy)
-
+# Translation.
 
 _SOURCE_NODE = "UnknownRawPTransform"
 
 
 def _linear_transforms(pipeline: Pipeline):
     """Validate the benchmark pipeline shape: one ReadFromLog, a linear
-    chain of ParDo/GroupByKey applications, one terminal WriteToLog."""
+    chain of ParDo applications, one terminal WriteToLog."""
     apps = pipeline.applications
     reads = [a for a in apps if isinstance(a.transform, ReadFromLog)]
     if len(reads) != 1:
@@ -341,7 +324,7 @@ def _linear_transforms(pipeline: Pipeline):
         app = next_apps[0]
         if isinstance(app.transform, WriteToLog):
             return reads[0].transform, chain, app.transform
-        if not isinstance(app.transform, (ParDo, GroupByKey)):
+        if not isinstance(app.transform, ParDo):
             raise UnsupportedConstructError(
                 f"{type(app.transform).__name__} is not translatable"
             )
@@ -385,64 +368,21 @@ def _adapt_pardo(pardo: ParDo, in_kind: ElementKind, out_kind: ElementKind):
     return wrapped
 
 
-def _make_gbk_ops(window_n: int):
-    # Sequence-stateful by nature: the window buffer lives in the
-    # closure and persists for the lifetime of the translated job.
-    buffer: list[tuple[bytes, bytes]] = []
+def translate(pipeline: Pipeline, engine: Engine, parallelism: int = 1) -> Job:
+    """Translate a pipeline into an executable job on engine.
 
-    def emit() -> list[bytes]:
-        grouped = group_by_key_semantics(buffer)
-        buffer.clear()
-        return [encode_fields(key, *values) for key, values in grouped]
-
-    def step(data: bytes) -> list[bytes]:
-        key, value = _decode_element(ElementKind.KEY_VALUE, data)
-        buffer.append((key, value))
-        return emit() if len(buffer) == window_n else []
-
-    def flush() -> list[bytes]:
-        return emit() if buffer else []
-
-    return step, flush
-
-
-def translate(pipeline: Pipeline, runner, parallelism: int = 1) -> Job:
-    """Translate a pipeline into an executable native job.
-
-    Pure in structure: for a fixed (pipeline, runner, parallelism) the
-    produced topology and plan are identical across calls.
+    Pure in structure: for a fixed (pipeline, engine kind, parallelism)
+    the produced topology and plan are identical across calls.
     """
     read, chain, write = _linear_transforms(pipeline)
-    has_gbk = any(isinstance(app.transform, GroupByKey) for app in chain)
-    if has_gbk and parallelism != 1:
-        raise UnsupportedConstructError(
-            "GroupByKey pipelines run with parallelism 1 only"
-        )
-    engine = runner.new_engine()
-    if has_gbk and isinstance(engine, MicrobatchEngine):
-        largest = max(
-            app.transform.window.n
-            for app in chain
-            if isinstance(app.transform, GroupByKey)
-        )
-        if largest > engine.policy.max_batch_size:
-            raise UnsupportedConstructError(
-                f"window of {largest} exceeds max_batch_size "
-                f"{engine.policy.max_batch_size} on the micro-batch runner"
-            )
-
     builder = engine.build(read.topic, read.end_offset, source_name=_SOURCE_NODE)
     builder.flat_map(_make_envelope_fn(read.topic), name="FlatMap", with_index=True)
     builder.map(_without_metadata, name="withoutMetadata")
     builder.map(_values, name="Values")
     for app in chain:
         t = app.transform
-        if isinstance(t, ParDo):
-            fn = _adapt_pardo(t, app.inputs[0].element_kind, app.output.element_kind)
-            builder.flat_map(fn, name=t.name, with_index=t.with_index)
-        else:
-            step, flush = _make_gbk_ops(t.window.n)
-            builder.flat_map(step, name="GroupByKey", flush_fn=flush)
+        fn = _adapt_pardo(t, app.inputs[0].element_kind, app.output.element_kind)
+        builder.flat_map(fn, name=t.name, with_index=t.with_index)
     builder.map(_serialize, name="serialize")
     builder.sink_write(write.topic, name="sinkAppend")
     return make_job(engine, builder.build(), parallelism)

@@ -12,6 +12,7 @@ from streamlab.cli import (
     main,
 )
 from streamlab.corpus import CorpusSpec, generate_corpus, serialize_record
+from streamlab.harness import RESULTS_COLUMNS
 
 
 def run_cli(*argv):
@@ -73,6 +74,25 @@ def test_all_writes_full_report(tmp_path):
 
 def test_report_requires_bench_output(tmp_path):
     assert run_cli("report", str(tmp_path)) == 1
+
+
+RESULTS_HEADER = ",".join(RESULTS_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "results, metadata",
+    [
+        (RESULTS_HEADER, "{not json"),
+        (RESULTS_HEADER, json.dumps({"settings": {}})),
+        ("engine,query\n", json.dumps({"config": {}})),
+    ],
+    ids=["metadata-not-json", "metadata-without-config", "results-wrong-header"],
+)
+def test_report_malformed_bench_output_is_config_error(tmp_path, capsys, results, metadata):
+    (tmp_path / "results.csv").write_text(results)
+    (tmp_path / "metadata.json").write_text(metadata)
+    assert run_cli("report", str(tmp_path)) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_report_from_bench_artifacts(tmp_path):

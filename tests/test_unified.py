@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, TopicConfig
 from streamlab.corpus import CorpusSpec, generate_corpus, serialize_record
-from streamlab.microbatch import BatchPolicy
+from streamlab.microbatch import MicrobatchEngine
 from streamlab.queries import (
     ApiKind,
     EngineKind,
@@ -16,16 +16,15 @@ from streamlab.queries import (
     build_query,
     build_unified_pipeline,
 )
+from streamlab.tuple_engine import TupleEngine
 from streamlab.unified import (
     ElementKind,
     Flatten,
     GroupByKey,
-    MicrobatchRunner,
     ParDo,
     Pipeline,
     ReadFromLog,
     TumblingCount,
-    TupleRunner,
     TypeMismatchError,
     UnsupportedConstructError,
     UnwindowedGroupByKeyError,
@@ -203,8 +202,8 @@ class TestTranslate:
     def test_translation_deterministic(self):
         broker = fresh_broker([b"x"])
         pipeline = build_unified_pipeline(QuerySpec(QueryKind.GREP), "input", 1, "out")
-        a = translate(pipeline, TupleRunner(broker), 2)
-        b = translate(pipeline, TupleRunner(broker), 2)
+        a = translate(pipeline, TupleEngine(broker), 2)
+        b = translate(pipeline, TupleEngine(broker), 2)
         assert a.plan == b.plan
         assert [op.name for op in a.topology.operators] == [
             op.name for op in b.topology.operators
@@ -213,7 +212,7 @@ class TestTranslate:
     def test_microbatch_translation_annotated(self):
         broker = fresh_broker([b"x"])
         pipeline = build_unified_pipeline(QuerySpec(QueryKind.GREP), "input", 1, "out")
-        job = translate(pipeline, MicrobatchRunner(broker), 1)
+        job = translate(pipeline, MicrobatchEngine(broker), 1)
         assert all(n.annotation == "microbatch" for n in job.plan.nodes)
         assert len(job.plan.nodes) == 7
 
@@ -240,7 +239,7 @@ class TestTranslate:
         p.apply(ParDo("b", lambda v: [v]), pc)  # fan-out
         p.apply(WriteToLog("out"), a)
         with pytest.raises(UnsupportedConstructError):
-            translate(p, TupleRunner(broker), 1)
+            translate(p, TupleEngine(broker), 1)
 
     def test_flatten_not_translatable(self):
         broker = fresh_broker([b"x"])
@@ -248,8 +247,10 @@ class TestTranslate:
         pc = p.apply(ReadFromLog("input", 1))
         merged = p.apply(Flatten(), [pc])
         p.apply(WriteToLog("out"), merged)
-        with pytest.raises(UnsupportedConstructError):
-            translate(p, TupleRunner(broker), 1)
+        # Windowed grouping is not translatable either.
+        for pipeline in (p, kv_pipeline(1, window_n=4)):
+            with pytest.raises(UnsupportedConstructError, match="is not translatable"):
+                translate(pipeline, TupleEngine(broker), 1)
 
 
 def kv_pipeline(end_offset, window_n, sink="out"):
@@ -279,19 +280,6 @@ class TestGroupByKeyOnRunners:
             for i, r in enumerate(records)
         ]
 
-    def test_matches_local_evaluation_on_both_runners(self, small_payloads):
-        pipeline = kv_pipeline(len(small_payloads), window_n=40)
-        expected = evaluate_local(pipeline, {"input": small_payloads}).written["out"]
-        assert expected  # sanity: groups were produced
-
-        for runner_cls in (TupleRunner, MicrobatchRunner):
-            broker = fresh_broker(small_payloads)
-            broker.create_topic(TopicConfig("out"))
-            job = translate(kv_pipeline(len(small_payloads), 40), runner_cls(broker), 1)
-            report = job.execute()
-            assert read_all(broker, "out") == expected
-            assert report.records_out == len(expected)
-
     def test_partial_final_window_flushed(self, small_payloads):
         # 251 elements with window 40: the last window holds 11 elements
         pipeline = kv_pipeline(len(small_payloads), window_n=40)
@@ -300,17 +288,6 @@ class TestGroupByKeyOnRunners:
             len(decode_fields(row)) - 1 for row in run.written["out"]
         )
         assert total_grouped_values == len(small_payloads)
-
-    def test_gbk_requires_parallelism_one(self, small_payloads):
-        broker = fresh_broker(small_payloads)
-        with pytest.raises(UnsupportedConstructError):
-            translate(kv_pipeline(len(small_payloads), 40), TupleRunner(broker), 2)
-
-    def test_gbk_window_beyond_batch_size_rejected(self, small_payloads):
-        broker = fresh_broker(small_payloads)
-        runner = MicrobatchRunner(broker, policy=BatchPolicy(max_batch_size=30))
-        with pytest.raises(UnsupportedConstructError):
-            translate(kv_pipeline(len(small_payloads), 40), runner, 1)
 
 
 class TestSemanticTransparency:
