@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the benchmark phases: ingest, bench, report, plus
-plan inspection, corpus export, and a full end-to-end run (all).
+Subcommands: bench (ingest the corpus and run every setup), report
+(aggregate a bench directory), all (bench then report in one run),
+plan inspection and corpus export.
 
 Configuration comes from a JSON file of flat key paths (e.g.
 "corpus.n_records", "runs_per_setup") with a CLI flag twin for every
@@ -123,15 +124,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="use the full-scale record count (1,000,001)")
 
 
-def cmd_ingest(args) -> int:
-    config = build_benchmark_config(args)
-    broker = LogBroker()
-    summary = phase_ingest(config, broker)
-    print(f"ingested {summary.count} records into topic {INPUT_TOPIC!r} "
-          f"(append ts {summary.first_ts}..{summary.last_ts})")
-    return 0
-
-
 def _write_metadata(config) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,6 +180,8 @@ def cmd_report(args) -> int:
 
 
 def _config_from_values(values: dict, out_dir: Path) -> BenchmarkConfig:
+    if not isinstance(values, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -209,7 +203,7 @@ def _config_from_values(values: dict, out_dir: Path) -> BenchmarkConfig:
             output_dir=out_dir,
             warmup=int(v["warmup"]),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -271,10 +265,6 @@ def cmd_corpus_export(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamlab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="generate the corpus and ingest it")
-    _add_config_flags(p_ingest)
-    p_ingest.set_defaults(fn=cmd_ingest)
 
     p_bench = sub.add_parser("bench", help="run all configured setups")
     _add_config_flags(p_bench)

@@ -1,4 +1,4 @@
-"""Synthetic search-log workload generator and rate-controlled sender.
+"""Synthetic search-log workload generator and its sender into the broker.
 
 Records follow the five-column tab-separated search-log layout
 (user id, query text, query time, optional click rank, optional click
@@ -11,7 +11,6 @@ anywhere in its serialized form.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -189,23 +188,14 @@ def send(
     records: Sequence[SearchLogRecord],
     broker: LogBroker,
     topic_name: str,
-    rate: float | None = None,
 ) -> IngestSummary:
     """Append all records to partition 0 of an existing, empty topic,
-    in corpus order. A finite rate paces appends to records-per-second.
-    """
+    in corpus order."""
     topic = broker.topic(topic_name)
     if topic.high_water_mark(0) != 0:
         raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")
-    if rate is not None and rate <= 0:
-        raise ValueError("rate must be positive or None for unlimited")
 
-    start = time.monotonic()
-    for i, record in enumerate(records):
-        if rate is not None:
-            delay = start + i / rate - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    for record in records:
         topic.append(0, serialize_record(record))
 
     count = topic.high_water_mark(0)

@@ -379,17 +379,20 @@ def read_results_csv(path: Path) -> list[RunResult]:
         if reader.fieldnames != RESULTS_COLUMNS:
             raise HarnessError(f"unexpected results.csv columns: {reader.fieldnames}")
         for row in reader:
-            setup = Setup(
-                EngineKind(row["engine"]), ApiKind(row["api_kind"]),
-                QueryKind(row["query"]), int(row["parallelism"]),
-            )
-            results.append(RunResult(
-                setup=setup,
-                run_index=int(row["run_index"]),
-                exec_time_ms=int(row["exec_time_ms"]),
-                records_out=int(row["records_out"]),
-                operator_invocations={},
-            ))
+            try:
+                setup = Setup(
+                    EngineKind(row["engine"]), ApiKind(row["api_kind"]),
+                    QueryKind(row["query"]), int(row["parallelism"]),
+                )
+                results.append(RunResult(
+                    setup=setup,
+                    run_index=int(row["run_index"]),
+                    exec_time_ms=int(row["exec_time_ms"]),
+                    records_out=int(row["records_out"]),
+                    operator_invocations={},
+                ))
+            except (ValueError, TypeError) as exc:
+                raise HarnessError(f"bad row on line {reader.line_num}: {exc}") from exc
     return results
 
 

@@ -31,12 +31,6 @@ def tiny_args(out_dir, extra=()):
     ]
 
 
-def test_ingest_prints_summary(capsys):
-    assert run_cli("ingest", "--corpus-n-records", "301") == 0
-    out = capsys.readouterr().out
-    assert "ingested 301 records" in out
-
-
 def test_bench_row_arithmetic(tmp_path):
     assert run_cli("bench", *tiny_args(tmp_path)) == 0
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
@@ -85,8 +79,12 @@ RESULTS_HEADER = ",".join(RESULTS_COLUMNS) + "\n"
         (RESULTS_HEADER, "{not json"),
         (RESULTS_HEADER, json.dumps({"settings": {}})),
         ("engine,query\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "foo,native,grep,1,0,5,3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "tuple,native,grep,x,0,5,3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER, json.dumps({"config": []})),
     ],
-    ids=["metadata-not-json", "metadata-without-config", "results-wrong-header"],
+    ids=["metadata-not-json", "metadata-without-config", "results-wrong-header",
+         "results-bad-engine", "results-bad-parallelism", "metadata-config-not-object"],
 )
 def test_report_malformed_bench_output_is_config_error(tmp_path, capsys, results, metadata):
     (tmp_path / "results.csv").write_text(results)
@@ -102,10 +100,17 @@ def test_report_from_bench_artifacts(tmp_path):
     assert (tmp_path / "slowdown.csv").exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"runs_per_setup": 2, "no_such_key": 1}))
-    assert run_cli("bench", "--config", str(config)) == 1
+    for values in (
+        {"runs_per_setup": 2, "no_such_key": 1},
+        # known keys holding a value of the wrong JSON type
+        {"corpus.grep_match_count": "5"},
+        {"parallelisms": 3},
+    ):
+        config.write_text(json.dumps(values))
+        assert run_cli("bench", "--config", str(config)) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_invalid_engine_value_rejected(tmp_path):
@@ -203,7 +208,7 @@ def test_paper_scale_flag_sets_record_count(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"corpus.n_records": 301}))
     # only check the effective config; do not run a 1M-record ingest
-    args = build_parser().parse_args(["ingest", "--config", str(config), "--paper-scale"])
+    args = build_parser().parse_args(["bench", "--config", str(config), "--paper-scale"])
     assert build_benchmark_config(args).corpus_spec.n_records == 1_000_001
 
 

@@ -179,19 +179,6 @@ class TestSend:
         with pytest.raises(TopicNotEmptyError):
             send(default_records, broker, "input")
 
-    def test_rate_limited_send_duration(self):
-        records = generate_corpus(CorpusSpec(n_records=2000))
-        broker = LogBroker()
-        broker.create_topic(TopicConfig("input"))
-        summary = send(records, broker, "input", rate=1000)
-        assert 1800 <= summary.last_ts - summary.first_ts <= 2200
-
-    def test_send_rejects_bad_rate(self, default_records):
-        broker = LogBroker()
-        broker.create_topic(TopicConfig("input"))
-        with pytest.raises(ValueError):
-            send(default_records, broker, "input", rate=0)
-
 
 def test_write_corpus_matches_broker_payloads(tmp_path, default_records):
     path = tmp_path / "corpus.tsv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, TopicConfig
-from streamlab.corpus import CorpusSpec, generate_corpus, serialize_record
+from streamlab.corpus import serialize_record
 from streamlab.microbatch import MicrobatchEngine
 from streamlab.queries import (
     ApiKind,
@@ -18,20 +18,14 @@ from streamlab.queries import (
 )
 from streamlab.tuple_engine import TupleEngine
 from streamlab.unified import (
-    ElementKind,
-    Flatten,
-    GroupByKey,
     ParDo,
     Pipeline,
     ReadFromLog,
-    TumblingCount,
     TypeMismatchError,
     UnsupportedConstructError,
-    UnwindowedGroupByKeyError,
     WriteToLog,
     decode_fields,
     encode_fields,
-    evaluate_local,
     flatten_semantics,
     group_by_key_semantics,
     translate,
@@ -60,26 +54,12 @@ class TestApply:
         pc = p.apply(ParDo("grep", lambda v: [v] if b"x" in v else []), pc)
         p.apply(WriteToLog("out"), pc)
         assert len(p.applications) == 3
-        assert p.applications[0].output.element_kind is ElementKind.BYTES
 
     def test_read_only_at_root(self):
         p = Pipeline()
         pc = p.apply(ReadFromLog("input", 10))
         with pytest.raises(TypeMismatchError):
             p.apply(ReadFromLog("other", 5), pc)
-
-    def test_group_by_key_on_unkeyed(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        with pytest.raises(TypeMismatchError):
-            p.apply(GroupByKey(TumblingCount(4)), pc)
-
-    def test_unwindowed_group_by_key(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        kv = p.apply(ParDo("kv", lambda v: [(v, v)], output_kind=ElementKind.KEY_VALUE), pc)
-        with pytest.raises(UnwindowedGroupByKeyError):
-            p.apply(GroupByKey(window=None), kv)
 
     def test_write_is_terminal(self):
         p = Pipeline()
@@ -88,21 +68,17 @@ class TestApply:
         with pytest.raises(TypeMismatchError):
             p.apply(ParDo("late", lambda v: [v]), done)
 
-    def test_flatten_kind_mismatch(self):
+    def test_unknown_transform_rejected(self):
         p = Pipeline()
         pc = p.apply(ReadFromLog("input", 10))
-        kv = p.apply(ParDo("kv", lambda v: [(v, v)], output_kind=ElementKind.KEY_VALUE), pc)
         with pytest.raises(TypeMismatchError):
-            p.apply(Flatten(), [pc, kv])
+            p.apply(object(), pc)
 
-    def test_flatten_requires_inputs(self):
+    def test_pardo_takes_one_input_collection(self):
         p = Pipeline()
+        pc = p.apply(ReadFromLog("input", 10))
         with pytest.raises(TypeMismatchError):
-            p.apply(Flatten(), [])
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            TumblingCount(0)
+            p.apply(ParDo("pair", lambda v: [v]), [pc])
 
 
 class TestGroupByKeySemantics:
@@ -134,24 +110,6 @@ class TestGroupByKeySemantics:
 
 
 class TestFlatten:
-    def test_union_multiset_of_two_kv_collections(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 4))
-        left = p.apply(
-            ParDo("left", lambda v: [(v, b"l")], output_kind=ElementKind.KEY_VALUE), pc
-        )
-        right = p.apply(
-            ParDo("right", lambda v: [(v, b"r")], output_kind=ElementKind.KEY_VALUE), pc
-        )
-        merged = p.apply(Flatten(), [left, right])
-        assert merged.element_kind is ElementKind.KEY_VALUE
-
-        data = [b"a", b"b", b"c", b"d"]
-        run = evaluate_local(p, {"input": data})
-        got = Counter(run.materialize(merged))
-        expected = Counter((v, b"l") for v in data) + Counter((v, b"r") for v in data)
-        assert got == expected
-
     def test_cardinality_additivity_random_cases(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -233,62 +191,24 @@ class TestTranslate:
 
     def test_non_linear_pipeline_rejected(self):
         broker = fresh_broker([b"x"])
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 1))
-        a = p.apply(ParDo("a", lambda v: [v]), pc)
-        p.apply(ParDo("b", lambda v: [v]), pc)  # fan-out
-        p.apply(WriteToLog("out"), a)
-        with pytest.raises(UnsupportedConstructError):
-            translate(p, TupleEngine(broker), 1)
+        fan_out = Pipeline()
+        pc = fan_out.apply(ReadFromLog("input", 1))
+        a = fan_out.apply(ParDo("a", lambda v: [v]), pc)
+        fan_out.apply(ParDo("b", lambda v: [v]), pc)
+        fan_out.apply(WriteToLog("out"), a)
 
-    def test_flatten_not_translatable(self):
-        broker = fresh_broker([b"x"])
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 1))
-        merged = p.apply(Flatten(), [pc])
-        p.apply(WriteToLog("out"), merged)
-        # Windowed grouping is not translatable either.
-        for pipeline in (p, kv_pipeline(1, window_n=4)):
-            with pytest.raises(UnsupportedConstructError, match="is not translatable"):
+        unwritten = Pipeline()
+        pc = unwritten.apply(ReadFromLog("input", 1))
+        unwritten.apply(ParDo("a", lambda v: [v]), pc)
+
+        two_reads = Pipeline()
+        for topic in ("input", "other"):
+            pc = two_reads.apply(ReadFromLog(topic, 1))
+            two_reads.apply(WriteToLog(f"out-{topic}"), pc)
+
+        for pipeline in (fan_out, unwritten, two_reads):
+            with pytest.raises(UnsupportedConstructError):
                 translate(pipeline, TupleEngine(broker), 1)
-
-
-def kv_pipeline(end_offset, window_n, sink="out"):
-    """Read -> key by first column -> windowed group -> write."""
-    p = Pipeline()
-    pc = p.apply(ReadFromLog("input", end_offset))
-    kv = p.apply(
-        ParDo(
-            "keyByCol0",
-            lambda v: [(v.split(b"\t")[0], v)],
-            output_kind=ElementKind.KEY_VALUE,
-        ),
-        pc,
-    )
-    grouped = p.apply(GroupByKey(TumblingCount(window_n)), kv)
-    p.apply(WriteToLog(sink), grouped)
-    return p
-
-
-class TestGroupByKeyOnRunners:
-    @pytest.fixture
-    def small_payloads(self):
-        records = generate_corpus(CorpusSpec(n_records=251, rng_seed=5))
-        # narrow the key space so groups actually form
-        return [
-            b"%d\t" % (i % 7) + serialize_record(r).split(b"\t", 1)[1]
-            for i, r in enumerate(records)
-        ]
-
-    def test_partial_final_window_flushed(self, small_payloads):
-        # 251 elements with window 40: the last window holds 11 elements
-        pipeline = kv_pipeline(len(small_payloads), window_n=40)
-        run = evaluate_local(pipeline, {"input": small_payloads})
-        total_grouped_values = sum(
-            len(decode_fields(row)) - 1 for row in run.written["out"]
-        )
-        assert total_grouped_values == len(small_payloads)
-
 
 class TestSemanticTransparency:
     def test_unified_equals_native_grep_all_engines(self, default_records):
