@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+from typing import get_args, get_origin
 
 from .broker import LogBroker, TopicConfig
 from .corpus import CorpusSpec, generate_corpus, write_corpus
@@ -36,8 +36,6 @@ from .microbatch import BatchPolicy
 from .plan import plan_to_text
 from .queries import ApiKind, EngineKind, QueryKind, build_query
 
-OUTPUT_DIR_ENV = "STREAMLAB_OUTPUT_DIR"
-
 DESK_SCALE_RECORDS = 10_001
 PAPER_SCALE_RECORDS = 1_000_001
 
@@ -54,24 +52,24 @@ def _parse_str_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-# One row per config key: (key, flag, parser). Every key can be set in
-# a JSON config file and by its flag; the parser turns the flag's text
-# into the value the file would hold.
+# One row per config key: (key, flag, parser, JSON type). Every key can
+# be set in a JSON config file and by its flag; the parser turns the
+# flag's text into the value of that type that the file would hold.
 CONFIG_TABLE = (
-    ("corpus.n_records", "--corpus-n-records", int),
-    ("corpus.grep_needle", "--corpus-grep-needle", str),
-    ("corpus.grep_match_count", "--corpus-grep-match-count", int),
-    ("corpus.rng_seed", "--corpus-rng-seed", int),
-    ("runs_per_setup", "--runs", int),
-    ("parallelisms", "--parallelisms", _parse_int_list),
-    ("engines", "--engines", _parse_str_list),
-    ("api_kinds", "--api-kinds", _parse_str_list),
-    ("queries", "--queries", _parse_str_list),
-    ("batch_policy.max_batch_size", "--batch-max-size", int),
-    ("output_dir", "--output-dir", str),
-    ("warmup", "--warmup", int),
+    ("corpus.n_records", "--corpus-n-records", int, int),
+    ("corpus.grep_needle", "--corpus-grep-needle", str, str),
+    ("corpus.grep_match_count", "--corpus-grep-match-count", int, int | None),
+    ("corpus.rng_seed", "--corpus-rng-seed", int, int),
+    ("runs_per_setup", "--runs", int, int),
+    ("parallelisms", "--parallelisms", _parse_int_list, list[int]),
+    ("engines", "--engines", _parse_str_list, list[str]),
+    ("api_kinds", "--api-kinds", _parse_str_list, list[str]),
+    ("queries", "--queries", _parse_str_list, list[str]),
+    ("batch_policy.max_batch_size", "--batch-max-size", int, int),
+    ("output_dir", "--output-dir", str, str),
+    ("warmup", "--warmup", int, int),
 )
-CONFIG_KEYS = frozenset(key for key, _, _ in CONFIG_TABLE)
+CONFIG_KEYS = frozenset(key for key, *_ in CONFIG_TABLE)
 DEFAULT_VALUES = BenchmarkConfig(CorpusSpec(DESK_SCALE_RECORDS)).config_dict()
 
 
@@ -82,16 +80,13 @@ def load_config_file(path: Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
     overrides = {
         key: getattr(args, key)
-        for key, _, _ in CONFIG_TABLE
+        for key, *_ in CONFIG_TABLE
         if getattr(args, key, None) is not None
     }
     if getattr(args, "paper_scale", False):
@@ -103,16 +98,13 @@ def build_benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    env_out = os.environ.get(OUTPUT_DIR_ENV)
-    if env_out:
-        values["output_dir"] = env_out
     values.update(_flag_overrides(args))
     out_dir = values.get("output_dir", DEFAULT_VALUES["output_dir"])
     return _config_from_values(values, Path(out_dir))
 
 
 def _add_key_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    for key, flag, parse in CONFIG_TABLE:
+    for key, flag, parse, _ in CONFIG_TABLE:
         if key.startswith(prefix):
             parser.add_argument(flag, type=parse, dest=key)
 
@@ -179,29 +171,40 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _has_json_type(value, json_type) -> bool:
+    """json_type is a type, list[T] or a union of types; a bool is not an int."""
+    if get_origin(json_type) is list:
+        return type(value) is list and all(_has_json_type(v, *get_args(json_type)) for v in value)
+    return type(value) in (get_args(json_type) or (json_type,))
+
+
 def _config_from_values(values: dict, out_dir: Path) -> BenchmarkConfig:
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, _, _, json_type in CONFIG_TABLE:
+        if key in values and not _has_json_type(values[key], json_type):
+            want = json_type.__name__ if isinstance(json_type, type) else json_type
+            raise ConfigError(f"{key} must be {want}, got {values[key]!r}")
     v = {**DEFAULT_VALUES, **values}
     try:
         return BenchmarkConfig(
             corpus_spec=CorpusSpec(
-                n_records=int(v["corpus.n_records"]),
-                grep_needle=str(v["corpus.grep_needle"]),
+                n_records=v["corpus.n_records"],
+                grep_needle=v["corpus.grep_needle"],
                 grep_match_count=v["corpus.grep_match_count"],
-                rng_seed=int(v["corpus.rng_seed"]),
+                rng_seed=v["corpus.rng_seed"],
             ),
-            runs_per_setup=int(v["runs_per_setup"]),
-            parallelisms=tuple(int(p) for p in v["parallelisms"]),
+            runs_per_setup=v["runs_per_setup"],
+            parallelisms=tuple(v["parallelisms"]),
             engines=tuple(EngineKind(e) for e in v["engines"]),
             api_kinds=tuple(ApiKind(a) for a in v["api_kinds"]),
             queries=tuple(QueryKind(q) for q in v["queries"]),
-            batch_policy=BatchPolicy(int(v["batch_policy.max_batch_size"])),
+            batch_policy=BatchPolicy(v["batch_policy.max_batch_size"]),
             output_dir=out_dir,
-            warmup=int(v["warmup"]),
+            warmup=v["warmup"],
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

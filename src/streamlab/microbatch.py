@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .broker import LogBroker
-from .plan import ExecutionPlan, plan_from_topology
 from .topology import Engine, JobReport, Topology, drain, job_report, run_chain
 
 
@@ -37,12 +36,11 @@ class BatchPolicy:
 
 
 class MicrobatchEngine(Engine):
+    plan_annotation = "microbatch"
+
     def __init__(self, broker: LogBroker, policy: BatchPolicy | None = None):
         super().__init__(broker)
         self.policy = policy or BatchPolicy()
-
-    def plan(self, topology: Topology, parallelism: int = 1) -> ExecutionPlan:
-        return plan_from_topology(topology, parallelism, annotation="microbatch")
 
     def execute(self, topology: Topology, parallelism: int = 1) -> JobReport:
         if parallelism < 1:
@@ -51,9 +49,10 @@ class MicrobatchEngine(Engine):
         sink = self._broker.topic(topology.sink_topic)
 
         batches: queue.SimpleQueue = queue.SimpleQueue()
+        former_errors: list[Exception] = []
         former = threading.Thread(
             target=_form_batches,
-            args=(source, topology.end_offset, self.policy, parallelism, batches),
+            args=(source, topology.end_offset, self.policy, parallelism, batches, former_errors),
             name="microbatch-former",
             daemon=True,
         )
@@ -93,25 +92,30 @@ class MicrobatchEngine(Engine):
                 if post_hwm > pre_hwm:
                     batch_sink_bounds.append((pre_hwm, post_hwm - 1))
         former.join()
-        if failure is not None:
-            raise failure
+        if failure is not None or former_errors:
+            raise failure or former_errors[0]
         return job_report(
             topology, records_out, invocations, lanes=parallelism,
             batches=batch_count, batch_sink_bounds=batch_sink_bounds,
         )
 
 
-def _form_batches(source, end_offset, policy, parallelism, out_queue):
+def _form_batches(source, end_offset, policy, parallelism, out_queue, errors):
     """Put each batch on out_queue as a tuple of p partitions of
-    (offset, payload) items, then None."""
-    next_offset = 0
-    while next_offset < end_offset:
-        chunk = source.read(
-            0, next_offset, min(policy.max_batch_size, end_offset - next_offset)
-        )
-        partitions: list[list[tuple[int, bytes]]] = [[] for _ in range(parallelism)]
-        for i, entry in enumerate(chunk):
-            partitions[i % parallelism].append((entry.offset, entry.payload))
-        out_queue.put(tuple(tuple(p) for p in partitions))
-        next_offset += len(chunk)
-    out_queue.put(None)
+    (offset, payload) items, then None, which also follows a failure;
+    the failure goes to errors."""
+    try:
+        next_offset = 0
+        while next_offset < end_offset:
+            chunk = source.read(
+                0, next_offset, min(policy.max_batch_size, end_offset - next_offset)
+            )
+            partitions: list[list[tuple[int, bytes]]] = [[] for _ in range(parallelism)]
+            for i, entry in enumerate(chunk):
+                partitions[i % parallelism].append((entry.offset, entry.payload))
+            out_queue.put(tuple(tuple(p) for p in partitions))
+            next_offset += len(chunk)
+    except Exception as exc:
+        errors.append(exc)
+    finally:
+        out_queue.put(None)

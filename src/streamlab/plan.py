@@ -1,6 +1,7 @@
 """Execution plan DAGs and their line-oriented textual dump.
 
-Dump format (byte-deterministic for fixed inputs):
+A plan is only dumped, never read back. Dump format (byte-deterministic
+for fixed inputs):
 
     node <index> <name> parallelism=<p>
     edge <from-index> <to-index>
@@ -11,14 +12,7 @@ render the annotation inside the name token as ``<name>[<annotation>]``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-
-from .topology import Topology
-
-
-class PlanFormatError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -34,9 +28,7 @@ class ExecutionPlan:
     edges: tuple[tuple[int, int], ...]
 
 
-def plan_from_topology(
-    topology: Topology, parallelism: int, annotation: str | None = None
-) -> ExecutionPlan:
+def plan_from_topology(topology, parallelism: int, annotation: str | None = None) -> ExecutionPlan:
     names = topology.node_names()
     nodes = tuple(PlanNode(name, parallelism, annotation) for name in names)
     edges = tuple((i, i + 1) for i in range(len(names) - 1))
@@ -52,28 +44,3 @@ def plan_to_text(plan: ExecutionPlan) -> str:
         lines.append(f"edge {src} {dst}")
     return "\n".join(lines) + "\n"
 
-
-_NODE_RE = re.compile(r"^node (\d+) (\S+) parallelism=(\d+)$")
-_EDGE_RE = re.compile(r"^edge (\d+) (\d+)$")
-_ANNOTATED_RE = re.compile(r"^(.*)\[([^\[\]]+)\]$")
-
-
-def parse_plan_text(text: str) -> ExecutionPlan:
-    nodes: list[PlanNode] = []
-    edges: list[tuple[int, int]] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if m := _NODE_RE.match(line):
-            index, name, parallelism = int(m[1]), m[2], int(m[3])
-            if index != len(nodes):
-                raise PlanFormatError(f"node index {index} out of order")
-            annotation = None
-            if am := _ANNOTATED_RE.match(name):
-                name, annotation = am[1], am[2]
-            nodes.append(PlanNode(name, parallelism, annotation))
-        elif m := _EDGE_RE.match(line):
-            edges.append((int(m[1]), int(m[2])))
-        else:
-            raise PlanFormatError(f"unrecognized plan line: {line!r}")
-    return ExecutionPlan(tuple(nodes), tuple(edges))

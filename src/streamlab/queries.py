@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .broker import LogBroker
 from .corpus import DEFAULT_SEED, MalformedRecordError
-from .jobs import Job, make_job
 from .microbatch import BatchPolicy, MicrobatchEngine
+from .topology import Job
 from .tuple_engine import TupleEngine
 from .unified import ParDo, Pipeline, ReadFromLog, WriteToLog, translate
 
@@ -138,7 +138,7 @@ def _build_native(spec, engine, source_topic, end_offset, sink_topic, parallelis
     elif spec.kind is QueryKind.GREP:
         builder.filter(_grep_pred(spec), name="filter")
     builder.sink_write(sink_topic)
-    return make_job(engine, builder.build(), parallelism)
+    return Job(engine, builder.build(), parallelism)
 
 
 def build_unified_pipeline(

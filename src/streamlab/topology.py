@@ -5,17 +5,20 @@ captured as [0, end_offset)), zero or more stateless operators, and one
 sink. Chained operators run fused: each element makes one pass through
 the whole chain with one function call per operator and no
 inter-operator queueing. `drain` is the one loop both engines use to
-push elements through a chain into the sink.
+push elements through a chain into the sink. Every node is called
+fn(payload, source_index) and returns an iterable of outputs; the
+builder adapts each user function to that once. The sink is always the
+last node of `Topology.operators`, with fn None.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from typing import Callable
 
 from .broker import LogBroker
+from .plan import ExecutionPlan, plan_from_topology
 
 
 class TopologyError(Exception):
@@ -36,25 +39,16 @@ class OperatorFailure(RuntimeError):
         self.cause = cause
 
 
-class OpKind(enum.Enum):
-    MAP = "map"
-    FLAT_MAP = "flat_map"
-    FILTER = "filter"
-    SINK_WRITE = "sink_write"
-
-
 _NAME_RE = re.compile(r"^[\w.:-]+$")
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One named node. fn is called fn(payload) or, with with_index,
-    fn(payload, source_index)."""
+    """One named node: fn(payload, index) -> outputs, or None for the
+    sink."""
 
     name: str
-    kind: OpKind
     fn: Callable | None
-    with_index: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,37 +92,41 @@ class TopologyBuilder:
         self._operators: list[OperatorSpec] = []
         self._sink_topic: str | None = None
 
-    def _add(self, kind: OpKind, fn, name, with_index=False):
+    def _add(self, base: str, fn, name):
         if self._sink_topic is not None:
             raise TopologyError("cannot add operators after sink_write")
-        name = _check_name(name or self._default_name(kind))
+        name = _check_name(name or self._default_name(base))
         if name in {op.name for op in self._operators} or name == self._source_name:
             raise TopologyError(f"duplicate node name {name!r}")
-        self._operators.append(OperatorSpec(name, kind, fn, with_index))
+        self._operators.append(OperatorSpec(name, fn))
         return self
 
-    def _default_name(self, kind: OpKind) -> str:
+    def _default_name(self, base: str) -> str:
         taken = {op.name for op in self._operators}
-        if kind.value not in taken:
-            return kind.value
+        if base not in taken:
+            return base
         n = 2
-        while f"{kind.value}-{n}" in taken:
+        while f"{base}-{n}" in taken:
             n += 1
-        return f"{kind.value}-{n}"
+        return f"{base}-{n}"
 
     def map(self, fn, name: str | None = None, with_index: bool = False):
-        return self._add(OpKind.MAP, fn, name, with_index)
+        if with_index:
+            return self._add("map", lambda v, i: (fn(v, i),), name)
+        return self._add("map", lambda v, i: (fn(v),), name)
 
     def flat_map(self, fn, name: str | None = None, with_index: bool = False):
-        return self._add(OpKind.FLAT_MAP, fn, name, with_index)
+        return self._add("flat_map", fn if with_index else lambda v, i: fn(v), name)
 
     def filter(self, fn, name: str | None = None, with_index: bool = False):
-        return self._add(OpKind.FILTER, fn, name, with_index)
+        if with_index:
+            return self._add("filter", lambda v, i: (v,) if fn(v, i) else (), name)
+        return self._add("filter", lambda v, i: (v,) if fn(v) else (), name)
 
     def sink_write(self, topic: str, name: str = "sink"):
         if self._sink_topic is not None:
             raise TopologyError("sink_write may only be called once")
-        self._add(OpKind.SINK_WRITE, None, name)
+        self._add("sink_write", None, name)
         self._sink_topic = topic
         return self
 
@@ -145,12 +143,17 @@ class TopologyBuilder:
 
 
 class Engine:
-    """What both engines share: a broker, and builders over a source
-    range that is already in the log. Since the log is append-only, an
-    engine reads that range without ever waiting for data."""
+    """What both engines share: a broker, builders over a source range
+    that is already in the log, and plans. Since the log is append-only,
+    an engine reads that range without ever waiting for data."""
+
+    plan_annotation: str | None = None  # marks every node of the plan
 
     def __init__(self, broker: LogBroker):
         self._broker = broker
+
+    def plan(self, topology: Topology, parallelism: int = 1) -> ExecutionPlan:
+        return plan_from_topology(topology, parallelism, self.plan_annotation)
 
     def build(
         self, source_topic: str, end_offset: int, source_name: str = "source"
@@ -161,6 +164,22 @@ class Engine:
                 f"end_offset {end_offset} beyond high-water mark {hwm}"
             )
         return TopologyBuilder(source_topic, end_offset, source_name)
+
+
+@dataclass
+class Job:
+    """Executable job handle: an engine, a topology, and a parallelism."""
+
+    engine: Engine
+    topology: Topology
+    parallelism: int
+
+    @property
+    def plan(self) -> ExecutionPlan:
+        return self.engine.plan(self.topology, self.parallelism)
+
+    def execute(self) -> JobReport:
+        return self.engine.execute(self.topology, self.parallelism)
 
 
 def _check_name(name: str) -> str:
@@ -175,30 +194,14 @@ def run_chain(
     payload: bytes,
     invocations: dict[str, int],
 ) -> list[bytes]:
-    """Push one source element through all non-sink operators, counting
-    one invocation per element entering each node. Returns the surviving
-    values (empty once a filter drops the element)."""
+    """Push one source element through operators, a chain without its
+    sink, counting one invocation per element entering each node.
+    Returns the surviving values (empty once a node drops it)."""
     values = [payload]
     for op in operators:
-        if op.kind is OpKind.SINK_WRITE:
-            break
         invocations[op.name] += len(values)
         try:
-            if op.kind is OpKind.FILTER:
-                if op.with_index:
-                    values = [v for v in values if op.fn(v, index)]
-                else:
-                    values = [v for v in values if op.fn(v)]
-            elif op.kind is OpKind.MAP:
-                if op.with_index:
-                    values = [op.fn(v, index) for v in values]
-                else:
-                    values = [op.fn(v) for v in values]
-            else:  # FLAT_MAP
-                if op.with_index:
-                    values = [w for v in values for w in op.fn(v, index)]
-                else:
-                    values = [w for v in values for w in op.fn(v)]
+            values = [w for v in values for w in op.fn(v, index)]
         except Exception as exc:
             raise OperatorFailure(op.name, index, exc) from exc
         if not values:
@@ -209,10 +212,12 @@ def run_chain(
 def drain(run, operators, items, sink, invocations) -> int:
     """Push (index, payload) items through the chain with run, a
     run_chain, and append the survivors to partition 0 of the sink
-    topic, counting each at the sink node. Returns the number appended."""
+    topic, counting each at the sink, the last node. Returns the number
+    appended."""
+    chain = operators[:-1]
     appended = 0
     for index, payload in items:
-        for value in run(operators, index, payload, invocations):
+        for value in run(chain, index, payload, invocations):
             sink.append(0, value)
             appended += 1
     invocations[operators[-1].name] += appended

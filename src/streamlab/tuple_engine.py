@@ -19,16 +19,12 @@ import queue
 import threading
 from collections import defaultdict
 
-from .plan import ExecutionPlan, plan_from_topology
 from .topology import Engine, Topology, drain, job_report, run_chain
 
 _READ_CHUNK = 1024
 
 
 class TupleEngine(Engine):
-    def plan(self, topology: Topology, parallelism: int = 1) -> ExecutionPlan:
-        return plan_from_topology(topology, parallelism)
-
     def execute(self, topology: Topology, parallelism: int = 1):
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -54,15 +50,18 @@ class TupleEngine(Engine):
         for t in threads:
             t.start()
 
-        # Round-robin dispatch from the single source reader.
-        for i, item in enumerate(source):
-            lanes[i % parallelism].queue.put(item)
-            if any(lane.failure for lane in lanes):
-                break
-        for lane in lanes:
-            lane.queue.put(None)
-        for t in threads:
-            t.join()
+        # Round-robin dispatch from the single source reader. A failing
+        # read still ends every lane.
+        try:
+            for i, item in enumerate(source):
+                lanes[i % parallelism].queue.put(item)
+                if any(lane.failure for lane in lanes):
+                    break
+        finally:
+            for lane in lanes:
+                lane.queue.put(None)
+            for t in threads:
+                t.join()
 
         for lane in lanes:
             if lane.failure is not None:

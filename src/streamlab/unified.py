@@ -31,8 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .jobs import Job, make_job
-from .topology import Engine
+from .topology import Engine, Job
 
 
 class PipelineError(Exception):
@@ -237,4 +236,4 @@ def translate(pipeline: Pipeline, engine: Engine, parallelism: int = 1) -> Job:
         builder.flat_map(_adapt_pardo(pardo), name=pardo.name, with_index=pardo.with_index)
     builder.map(_serialize, name="serialize")
     builder.sink_write(write.topic, name="sinkAppend")
-    return make_job(engine, builder.build(), parallelism)
+    return Job(engine, builder.build(), parallelism)

@@ -1,6 +1,8 @@
+import threading
+
 import pytest
 
-from streamlab.broker import LogBroker, TopicConfig
+from streamlab.broker import LogBroker, Topic, TopicConfig
 from streamlab.corpus import CorpusSpec, generate_corpus, send, serialize_record
 
 DEFAULT_N = 10001
@@ -17,6 +19,44 @@ def verify_broker_coherence(broker):
             assert [e.offset for e in entries] == list(range(n)), name
             for a, b in zip(entries, entries[1:]):
                 assert a.append_ts <= b.append_ts, name
+
+
+@pytest.fixture
+def failing_read(monkeypatch):
+    """Make every Topic.read after the first raise OSError."""
+    real_read = Topic.read
+    calls = []
+
+    def read(self, partition, from_offset, max_count):
+        calls.append(from_offset)
+        if len(calls) > 1:
+            raise OSError("read failed")
+        return real_read(self, partition, from_offset, max_count)
+
+    monkeypatch.setattr(Topic, "read", read)
+
+
+@pytest.fixture
+def run_with_timeout():
+    """A runner that calls fn in a daemon thread, so that a hang fails
+    the test instead of blocking the suite. It returns whether fn
+    finished within timeout_s, and the exception fn raised or None."""
+
+    def run(fn, timeout_s=10):
+        raised = []
+
+        def target():
+            try:
+                fn()
+            except Exception as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout_s)
+        return not thread.is_alive(), raised[0] if raised else None
+
+    return run
 
 
 @pytest.fixture(scope="session")

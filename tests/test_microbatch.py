@@ -103,3 +103,13 @@ def test_plan_annotated_microbatch(ingested_broker):
     assert [n.name for n in plan.nodes] == ["source", "filter", "sink"]
     assert all(n.annotation == "microbatch" for n in plan.nodes)
     assert all(n.parallelism == 2 for n in plan.nodes)
+
+
+def test_failing_source_read_raises_instead_of_hanging(
+    ingested_broker, failing_read, run_with_timeout
+):
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(100))
+    topo = engine.build("input", 1000).sink_write(out_topic(ingested_broker)).build()
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
+    assert finished
+    assert isinstance(raised, OSError)

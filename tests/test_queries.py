@@ -3,9 +3,12 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, TopicConfig
 from streamlab.corpus import CorpusSpec, MalformedRecordError, generate_corpus, serialize_record
+from streamlab.microbatch import BatchPolicy
 from streamlab.queries import (
     ApiKind,
     EngineKind,
@@ -228,3 +231,52 @@ class TestCardinalityContracts:
         for original, first_col in zip(default_payloads, projected):
             assert first_col == original.split(b"\t")[0]
             assert len(first_col) < len(original)
+
+
+PROPERTY_CORPUS = [
+    serialize_record(r)
+    for r in generate_corpus(CorpusSpec(n_records=40, grep_match_count=12))
+]
+
+
+def oracle_output(kind: QueryKind, payloads: list[bytes], spec: QuerySpec) -> Counter:
+    """The query's output multiset, computed without streamlab's query code."""
+    if kind is QueryKind.SAMPLE:
+        keep = reference_sample_decisions(spec.rng_seed, len(payloads), spec.sample_probability)
+        return Counter(p for p, kept in zip(payloads, keep) if kept)
+    if kind is QueryKind.PROJECTION:
+        return Counter(p.split(b"\t")[0] for p in payloads)
+    if kind is QueryKind.GREP:
+        return Counter(p for p in payloads if spec.grep_needle.encode() in p)
+    return Counter(payloads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    end_offset=st.integers(0, len(PROPERTY_CORPUS)),
+    kind=st.sampled_from(QueryKind),
+    engine=st.sampled_from(EngineKind),
+    parallelism=st.sampled_from([1, 2, 3]),
+    batch_size=st.integers(1, len(PROPERTY_CORPUS)),
+)
+@example(end_offset=0, kind=QueryKind.IDENTITY, engine=EngineKind.MICROBATCH,
+         parallelism=2, batch_size=1)
+@example(end_offset=1, kind=QueryKind.PROJECTION, engine=EngineKind.TUPLE,
+         parallelism=3, batch_size=1)
+def test_unified_equals_native_equals_oracle(end_offset, kind, engine, parallelism, batch_size):
+    broker = LogBroker()
+    source = broker.create_topic(TopicConfig("input"))
+    for payload in PROPERTY_CORPUS:
+        source.append(0, payload)
+    spec = QuerySpec(kind)
+    outputs = {}
+    for api in ApiKind:
+        sink = broker.create_topic(TopicConfig(f"out-{api.value}"))
+        build_query(
+            spec, api, engine, broker=broker, source_topic="input",
+            end_offset=end_offset, sink_topic=sink.name, parallelism=parallelism,
+            batch_policy=BatchPolicy(batch_size),
+        ).execute()
+        outputs[api] = Counter(e.payload for e in sink.read(0, 0, sink.high_water_mark(0)))
+    expected = oracle_output(kind, PROPERTY_CORPUS[:end_offset], spec)
+    assert outputs[ApiKind.UNIFIED] == outputs[ApiKind.NATIVE] == expected

@@ -2,15 +2,10 @@ import random
 
 import pytest
 
-from streamlab.plan import (
-    PlanFormatError,
-    parse_plan_text,
-    plan_from_topology,
-    plan_to_text,
-)
+from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
     MissingSinkError,
-    OpKind,
+    OperatorFailure,
     TopologyBuilder,
     TopologyError,
     run_chain,
@@ -83,11 +78,11 @@ class TestRunChain:
         invocations = {op.name: 0 for op in topo.operators}
         out = []
         for i, payload in enumerate([b"keep-a", b"drop-b", b"keep-c"]):
-            out.extend(run_chain(topo.operators, i, payload, invocations))
+            out.extend(run_chain(topo.operators[:-1], i, payload, invocations))
         assert out == [b"keep-a!", b"keep-c!"]
         assert invocations["excite"] == 3
         assert invocations["keep"] == 3
-        assert invocations["sink"] == 0  # run_chain stops before the sink
+        assert invocations["sink"] == 0  # drain, not run_chain, counts the sink
 
     def test_flat_map_fan_out(self):
         topo = (
@@ -98,10 +93,44 @@ class TestRunChain:
             .build()
         )
         invocations = {op.name: 0 for op in topo.operators}
-        out = run_chain(topo.operators, 0, b"x", invocations)
+        out = run_chain(topo.operators[:-1], 0, b"x", invocations)
         assert out == [b"X", b"X"]
         assert invocations["dup"] == 1
         assert invocations["up"] == 2
+
+    # (builder method, with_index, user function, outputs of payload
+    # b"ab" at index 1, then at index 2). Each function fails on b"boom".
+    NODE_CASES = [
+        ("map", False, lambda v: v.upper() if v != b"boom" else 1 / 0,
+         [b"AB"], [b"AB"]),
+        ("map", True, lambda v, i: v * i if v != b"boom" else 1 / 0,
+         [b"ab"], [b"abab"]),
+        ("filter", False, lambda v: v.startswith(b"a") if v != b"boom" else 1 / 0,
+         [b"ab"], [b"ab"]),
+        ("filter", True, lambda v, i: i % 2 == 1 if v != b"boom" else 1 / 0,
+         [b"ab"], []),
+        ("flat_map", False, lambda v: [v, v[:1]] if v != b"boom" else 1 / 0,
+         [b"ab", b"a"], [b"ab", b"a"]),
+        ("flat_map", True, lambda v, i: [v] * i if v != b"boom" else 1 / 0,
+         [b"ab"], [b"ab", b"ab"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "method, with_index, fn, at_1, at_2", NODE_CASES,
+        ids=[f"{c[0]}{'-with_index' if c[1] else ''}" for c in NODE_CASES],
+    )
+    def test_node_outputs_and_failure(self, method, with_index, fn, at_1, at_2):
+        builder = getattr(TopologyBuilder("input", 3), method)
+        topo = builder(fn, name="node", with_index=with_index).sink_write("out").build()
+        chain = topo.operators[:-1]
+        invocations = {"node": 0}
+        assert run_chain(chain, 1, b"ab", invocations) == at_1
+        assert run_chain(chain, 2, b"ab", invocations) == at_2
+        assert invocations["node"] == 2
+        with pytest.raises(OperatorFailure) as info:
+            run_chain(chain, 7, b"boom", invocations)
+        assert (info.value.node, info.value.index) == ("node", 7)
+        assert isinstance(info.value.cause, ZeroDivisionError)
 
 
 class TestPlan:
@@ -141,15 +170,3 @@ class TestPlan:
         a = plan_to_text(plan_from_topology(topo, 2))
         b = plan_to_text(plan_from_topology(topo, 2))
         assert a.encode() == b.encode()
-
-    def test_round_trip(self):
-        topo = linear_builder(3).sink_write("out").build()
-        plan = plan_from_topology(topo, 2, annotation="microbatch")
-        parsed = parse_plan_text(plan_to_text(plan))
-        assert parsed == plan
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(PlanFormatError):
-            parse_plan_text("not a plan line\n")
-        with pytest.raises(PlanFormatError):
-            parse_plan_text("node 1 late parallelism=1\n")

@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 
 import pytest
@@ -129,3 +130,15 @@ def test_empty_source_range(ingested_broker, engine):
     report = engine.execute(topo, parallelism=1)
     assert report.records_in == 0
     assert report.records_out == 0
+
+
+def test_failing_source_read_ends_every_lane(
+    ingested_broker, engine, failing_read, run_with_timeout
+):
+    # the first read returns one chunk, so the lanes are busy when the
+    # second read fails
+    topo = engine.build("input", 3000).sink_write(out_topic(ingested_broker)).build()
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
+    assert finished
+    assert isinstance(raised, OSError)
+    assert not [t for t in threading.enumerate() if t.name.startswith("tuple-lane-")]
