@@ -77,8 +77,11 @@ class BenchmarkConfig:
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         for name in ("parallelisms", "engines", "api_kinds", "queries"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
         if any(p < 1 for p in self.parallelisms):
             raise ValueError("parallelisms must all be >= 1")
 

@@ -2,8 +2,9 @@
 
 Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
-sink. Chained operators run fused: each element makes one pass through
-the whole chain with one function call per operator and no
+sink. `read_chunks` is the one place where either engine reads its
+source. Chained operators run fused: each element makes one pass
+through the whole chain with one function call per operator and no
 inter-operator queueing. `drain` is the one loop both engines use to
 push elements through a chain into the sink. Every node is called
 fn(payload, source_index) and returns an iterable of outputs; the
@@ -186,6 +187,16 @@ def _check_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise TopologyError(f"invalid node name {name!r}")
     return name
+
+
+def read_chunks(source, end_offset: int, size: int):
+    """Yield partition 0 of the source topic over [0, end_offset) as
+    lists of (offset, payload), one read of at most size entries each."""
+    offset = 0
+    while offset < end_offset:
+        chunk = source.read(0, offset, min(size, end_offset - offset))
+        yield [(entry.offset, entry.payload) for entry in chunk]
+        offset += len(chunk)
 
 
 def run_chain(

@@ -2,12 +2,13 @@
 
 Each source element traverses the full operator chain individually in
 one fused pass (operator chaining), then surviving values are appended
-to the sink topic; `topology.drain` is that loop. With parallelism 1
-the reader and the single lane are fused into the calling thread and
-output order equals source order. With parallelism p > 1 a reader
-thread distributes elements round-robin to p lane threads, each
-draining its own queue through its own fused chain; only multiset
-equality of the output is guaranteed across lanes.
+to the sink topic; `topology.drain` is that loop. The source is read
+in chunks through `topology.read_chunks`. With parallelism 1 the reader
+and the single lane are fused into the calling thread and output order
+equals source order. With parallelism p > 1 the calling thread reads
+and distributes elements round-robin to p lane threads, each draining
+its own queue through its own fused chain; only multiset equality of
+the output is guaranteed across lanes.
 
 The run is bounded: end_offset is fixed when the topology is built, and
 execute returns only after every in-flight element has been sunk.
@@ -18,8 +19,9 @@ from __future__ import annotations
 import queue
 import threading
 from collections import defaultdict
+from itertools import chain, cycle
 
-from .topology import Engine, Topology, drain, job_report, run_chain
+from .topology import Engine, Topology, drain, job_report, read_chunks, run_chain
 
 _READ_CHUNK = 1024
 
@@ -28,20 +30,21 @@ class TupleEngine(Engine):
     def execute(self, topology: Topology, parallelism: int = 1):
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        source = _read(self._broker.topic(topology.source_topic), topology.end_offset)
+        source = self._broker.topic(topology.source_topic)
+        chunks = read_chunks(source, topology.end_offset, _READ_CHUNK)
         sink = self._broker.topic(topology.sink_topic)
         if parallelism == 1:
-            return self._execute_single(topology, source, sink)
-        return self._execute_lanes(topology, source, sink, parallelism)
+            return self._execute_single(topology, chain.from_iterable(chunks), sink)
+        return self._execute_lanes(topology, chunks, sink, parallelism)
 
-    def _execute_single(self, topology, source, sink):
+    def _execute_single(self, topology, items, sink):
         invocations = defaultdict(int)
         # run_chain is passed by this module's name for it, so that a
         # wrapper installed on tuple_engine.run_chain sees every call.
-        records_out = drain(run_chain, topology.operators, source, sink, invocations)
+        records_out = drain(run_chain, topology.operators, items, sink, invocations)
         return job_report(topology, records_out, invocations, lanes=1)
 
-    def _execute_lanes(self, topology, source, sink, parallelism):
+    def _execute_lanes(self, topology, chunks, sink, parallelism):
         lanes = [_Lane(topology, sink) for _ in range(parallelism)]
         threads = [
             threading.Thread(target=lane.run, name=f"tuple-lane-{i}", daemon=True)
@@ -50,11 +53,14 @@ class TupleEngine(Engine):
         for t in threads:
             t.start()
 
-        # Round-robin dispatch from the single source reader. A failing
-        # read still ends every lane.
+        # Round-robin over elements, not chunks: zip takes the item first,
+        # so a chunk's end uses no lane's turn. A failing read still ends
+        # every lane.
+        puts = cycle([lane.queue.put for lane in lanes])
         try:
-            for i, item in enumerate(source):
-                lanes[i % parallelism].queue.put(item)
+            for items in chunks:
+                for item, put in zip(items, puts):
+                    put(item)
                 if any(lane.failure for lane in lanes):
                     break
         finally:
@@ -99,13 +105,3 @@ class _Lane:
             # it so the reader never blocks on a dead lane.
             while self.queue.get() is not None:
                 pass
-
-
-def _read(source, end_offset):
-    """The (offset, payload) items of [0, end_offset), read in chunks."""
-    offset = 0
-    while offset < end_offset:
-        chunk = source.read(0, offset, min(_READ_CHUNK, end_offset - offset))
-        for entry in chunk:
-            yield entry.offset, entry.payload
-        offset += len(chunk)

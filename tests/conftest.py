@@ -21,6 +21,18 @@ def verify_broker_coherence(broker):
                 assert a.append_ts <= b.append_ts, name
 
 
+@pytest.fixture(autouse=True)
+def no_engine_thread_outlives_a_test():
+    """Every lane and worker thread an engine starts has ended by the
+    time execute returns or raises."""
+    yield
+    alive = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith(("tuple-lane-", "ThreadPoolExecutor"))
+    ]
+    assert alive == []
+
+
 @pytest.fixture
 def failing_read(monkeypatch):
     """Make every Topic.read after the first raise OSError."""

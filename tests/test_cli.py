@@ -117,6 +117,32 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+REPEATED_VALUES = {
+    "parallelisms": ("1,1", [1, 1]),
+    "engines": ("tuple,tuple", ["tuple", "tuple"]),
+    "api_kinds": ("native,native", ["native", "native"]),
+    "queries": ("grep,grep", ["grep", "grep"]),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", sorted(REPEATED_VALUES))
+def test_repeated_list_value_is_a_config_error(key, source, tmp_path, capsys):
+    text, value = REPEATED_VALUES[key]
+    if source == "flag":
+        flag = next(row[1] for row in CONFIG_TABLE if row[0] == key)
+        argv = ["bench", *tiny_args(tmp_path), flag, text]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus.n_records": 301, "runs_per_setup": 1,
+            "output_dir": str(tmp_path / "out"), key: value,
+        }))
+        argv = ["bench", "--config", str(config)]
+    assert run_cli(*argv) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_invalid_engine_value_rejected(tmp_path):
     assert run_cli("bench", *tiny_args(tmp_path), "--engines", "turbo") == 1
 

@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from streamlab.broker import TopicConfig
+from streamlab import microbatch
+from streamlab.broker import Topic, TopicConfig
 from streamlab.microbatch import BatchPolicy, InvalidPolicyError, MicrobatchEngine
 from streamlab.topology import OperatorFailure
 from streamlab.tuple_engine import TupleEngine
@@ -16,6 +17,23 @@ def out_topic(broker, name="out"):
 def read_all(broker, topic):
     t = broker.topic(topic)
     return [e.payload for e in t.read(0, 0, t.high_water_mark(0))]
+
+
+@pytest.fixture
+def input_reads(monkeypatch, ingested_broker):
+    """Record each read of the "input" topic as (entries returned, high-
+    water mark of the "out" topic when the read was made)."""
+    real_read = Topic.read
+    reads = []
+
+    def read(self, partition, from_offset, max_count):
+        entries = real_read(self, partition, from_offset, max_count)
+        if self.name == "input":
+            reads.append((len(entries), ingested_broker.topic("out").high_water_mark(0)))
+        return entries
+
+    monkeypatch.setattr(Topic, "read", read)
+    return reads
 
 
 def test_policy_validation():
@@ -113,3 +131,61 @@ def test_failing_source_read_raises_instead_of_hanging(
     finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
     assert finished
     assert isinstance(raised, OSError)
+
+
+def test_failing_operator_stops_reading_and_names_the_first_element(
+    ingested_broker, input_reads
+):
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(100))
+    out = out_topic(ingested_broker)
+
+    def boom(v):
+        raise RuntimeError("nope")
+
+    topo = engine.build("input", 10001).map(boom, name="bad").sink_write(out).build()
+    with pytest.raises(OperatorFailure) as exc:
+        engine.execute(topo, parallelism=2)
+    assert exc.value.index == 0
+    assert input_reads == [(100, 0)]
+
+
+def test_each_batch_is_read_after_the_previous_one_is_sunk(ingested_broker, input_reads):
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(100))
+    topo = engine.build("input", 10001).sink_write(out_topic(ingested_broker)).build()
+    report = engine.execute(topo, parallelism=2)
+    assert report.batches == len(input_reads) == 101
+    assert [hwm for _, hwm in input_reads] == [100 * k for k in range(101)]
+
+
+@pytest.mark.parametrize(
+    "end_offset, parallelism, batches, bounds", [(0, 2, 0, []), (1, 3, 1, [(0, 0)])]
+)
+def test_batch_accounting_at_the_edges(
+    ingested_broker, end_offset, parallelism, batches, bounds
+):
+    engine = MicrobatchEngine(ingested_broker)
+    topo = engine.build("input", end_offset).sink_write(out_topic(ingested_broker)).build()
+    report = engine.execute(topo, parallelism=parallelism)
+    assert report.batches == batches
+    assert report.batch_sink_bounds == bounds
+    assert report.records_out == end_offset
+
+
+def test_single_element_batches_skip_empty_partitions(
+    ingested_broker, default_payloads, monkeypatch
+):
+    partition_sizes = []
+    real_drain = microbatch.drain
+
+    def drain(run, operators, items, sink, invocations):
+        partition_sizes.append(len(items))
+        return real_drain(run, operators, items, sink, invocations)
+
+    monkeypatch.setattr(microbatch, "drain", drain)
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(1))
+    out = out_topic(ingested_broker)
+    topo = engine.build("input", 50).sink_write(out).build()
+    report = engine.execute(topo, parallelism=3)
+    assert partition_sizes == [1] * 50
+    assert report.batches == 50
+    assert read_all(ingested_broker, out) == default_payloads[:50]
