@@ -1,10 +1,14 @@
 """Embedded single-node append-only log broker.
 
-Topics hold one or more partitions; each partition is an in-memory
-append-only log with dense offsets and a broker-assigned append
-timestamp (milliseconds on a process-wide monotonic clock). The
-timestamp is taken inside the append critical section, so timestamp
-order can never contradict offset order within a partition.
+Each topic is one in-memory append-only log with dense offsets and a
+broker-assigned append timestamp (milliseconds on a process-wide
+monotonic clock). The timestamp is taken inside the append critical
+section, so timestamp order can never contradict offset order.
+
+A topic has exactly one partition, numbered 0. Every log operation
+still takes a partition argument and rejects any other index, so the
+engines, the harness and the benchmark (which wraps `Topic.append` and
+`Topic.read`) keep addressing entries as (topic, partition, offset).
 
 This is the timing substrate for the whole benchmark: execution times
 are derived from the append timestamps of output-topic records, which
@@ -61,22 +65,37 @@ class TopicConfig:
     def __post_init__(self):
         if not self.name:
             raise ValueError("topic name must be non-empty")
-        if self.partitions < 1:
-            raise ValueError("partitions must be a positive integer")
+        if self.partitions != 1:
+            raise ValueError("a topic has exactly one partition")
 
 
-class _Partition:
-    """One append-only log. Appends are serialized; reads over the
-    already-appended prefix take no lock (the prefix is immutable)."""
+class Topic:
+    """One topic: a single append-only log. Appends are serialized;
+    reads over the already-appended prefix take no lock (the prefix is
+    immutable)."""
 
-    __slots__ = ("_lock", "_timestamps", "_payloads")
-
-    def __init__(self):
+    def __init__(self, config: TopicConfig):
+        self.config = config
         self._lock = threading.Lock()
         self._timestamps = array("q")
         self._payloads: list[bytes] = []
 
-    def append(self, payload: bytes) -> tuple[int, int]:
+    @property
+    def name(self) -> str:
+        return self.config.name
+
+    def _check_partition(self, partition: int) -> None:
+        if partition != 0:
+            raise InvalidPartitionError(
+                f"topic {self.name!r} has no partition {partition}"
+            )
+
+    def append(self, partition: int, payload: bytes) -> tuple[int, int]:
+        """Append a payload and return (offset, append_ts). The entry is
+        readable when the call returns, so appends from one producer
+        keep their order."""
+        self._check_partition(partition)
+        payload = bytes(payload)
         with self._lock:
             ts = clock_ms()
             offset = len(self._payloads)
@@ -86,10 +105,10 @@ class _Partition:
             self._payloads.append(payload)
             return offset, ts
 
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def read(self, from_offset: int, max_count: int) -> list[LogEntry]:
+    def read(self, partition: int, from_offset: int, max_count: int) -> list[LogEntry]:
+        """Return entries [from_offset, from_offset+max_count) without
+        blocking; empty list at end of log."""
+        self._check_partition(partition)
         if from_offset < 0:
             raise ValueError("from_offset must be non-negative")
         if max_count < 0:
@@ -100,48 +119,17 @@ class _Partition:
             for i in range(from_offset, end)
         ]
 
-    def boundary_timestamps(self) -> tuple[int, int]:
+    def boundary_timestamps(self, partition: int) -> tuple[int, int]:
+        """(append_ts of first entry, append_ts of last entry)."""
+        self._check_partition(partition)
         n = len(self._payloads)
         if n == 0:
             raise EmptyPartitionError("partition is empty")
         return self._timestamps[0], self._timestamps[n - 1]
 
-
-class Topic:
-    """Handle for one topic; all log operations live here."""
-
-    def __init__(self, config: TopicConfig):
-        self.config = config
-        self._partitions = [_Partition() for _ in range(config.partitions)]
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-    def _partition(self, index: int) -> _Partition:
-        if not 0 <= index < len(self._partitions):
-            raise InvalidPartitionError(
-                f"topic {self.name!r} has no partition {index}"
-            )
-        return self._partitions[index]
-
-    def append(self, partition: int, payload: bytes) -> tuple[int, int]:
-        """Append a payload and return (offset, append_ts). The entry is
-        readable when the call returns, so appends from one producer
-        keep their order."""
-        return self._partition(partition).append(bytes(payload))
-
-    def read(self, partition: int, from_offset: int, max_count: int) -> list[LogEntry]:
-        """Return entries [from_offset, from_offset+max_count) without
-        blocking; empty list at end of log."""
-        return self._partition(partition).read(from_offset, max_count)
-
-    def boundary_timestamps(self, partition: int) -> tuple[int, int]:
-        """(append_ts of first entry, append_ts of last entry)."""
-        return self._partition(partition).boundary_timestamps()
-
     def high_water_mark(self, partition: int) -> int:
-        return len(self._partition(partition))
+        self._check_partition(partition)
+        return len(self._payloads)
 
 
 class LogBroker:

@@ -133,7 +133,10 @@ def _print_failures(failures) -> None:
 
 
 def cmd_bench(args) -> int:
-    config = build_benchmark_config(args)
+    return _bench(build_benchmark_config(args))
+
+
+def _bench(config: BenchmarkConfig) -> int:
     broker = LogBroker()
     phase_ingest(config, broker)
     outcome = phase_execute(config, broker)
@@ -147,7 +150,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.dir)
+    return _report(Path(args.dir))
+
+
+def _report(out_dir: Path) -> int:
     results_path = out_dir / "results.csv"
     metadata_path = out_dir / "metadata.json"
     if not results_path.exists() or not metadata_path.exists():
@@ -238,18 +244,9 @@ def cmd_plan(args) -> int:
 
 def cmd_all(args) -> int:
     config = build_benchmark_config(args)
-    broker = LogBroker()
-    phase_ingest(config, broker)
-    outcome = phase_execute(config, broker)
-    _write_metadata(config)
-    report = build_slowdown_report(config, outcome.results)
-    emit_report(report, outcome.results, config.output_dir, plans=outcome.plans)
-    print(f"benchmark complete: {len(outcome.results)} runs, "
-          f"report in {config.output_dir}")
-    if outcome.failures:
-        _print_failures(outcome.failures)
-        return 2
-    return 0
+    status = _bench(config)
+    _report(Path(config.output_dir))
+    return status
 
 
 def cmd_corpus_export(args) -> int:

@@ -144,26 +144,17 @@ def _build_native(spec, engine, source_topic, end_offset, sink_topic, parallelis
 def build_unified_pipeline(
     spec: QuerySpec, source_topic: str, end_offset: int, sink_topic: str
 ) -> Pipeline:
-    pipeline = Pipeline()
-    pc = pipeline.apply(ReadFromLog(source_topic, end_offset))
+    pardos: tuple[ParDo, ...] = ()
     if spec.kind is QueryKind.SAMPLE:
         probability, seed = spec.sample_probability, spec.rng_seed
-        pc = pipeline.apply(
-            ParDo(
-                "sample",
-                lambda payload, index: sample_fn(payload, index, probability, seed),
-                with_index=True,
-            ),
-            pc,
-        )
+        pardos = (ParDo(
+            "sample",
+            lambda payload, index: sample_fn(payload, index, probability, seed),
+            with_index=True,
+        ),)
     elif spec.kind is QueryKind.PROJECTION:
-        pc = pipeline.apply(
-            ParDo("projection", lambda payload: [projection_fn(payload)]), pc
-        )
+        pardos = (ParDo("projection", lambda payload: [projection_fn(payload)]),)
     elif spec.kind is QueryKind.GREP:
         needle = spec.grep_needle.encode("utf-8")
-        pc = pipeline.apply(
-            ParDo("grep", lambda payload: grep_fn(payload, needle)), pc
-        )
-    pipeline.apply(WriteToLog(sink_topic), pc)
-    return pipeline
+        pardos = (ParDo("grep", lambda payload: grep_fn(payload, needle)),)
+    return Pipeline(ReadFromLog(source_topic, end_offset), pardos, WriteToLog(sink_topic))

@@ -191,10 +191,16 @@ def _check_name(name: str) -> str:
 
 def read_chunks(source, end_offset: int, size: int):
     """Yield partition 0 of the source topic over [0, end_offset) as
-    lists of (offset, payload), one read of at most size entries each."""
+    lists of (offset, payload), one read of at most size entries each.
+    Raises TopologyError if the log ends before end_offset."""
     offset = 0
     while offset < end_offset:
         chunk = source.read(0, offset, min(size, end_offset - offset))
+        if not chunk:
+            raise TopologyError(
+                f"topic {source.name!r} ends at offset {offset}, "
+                f"before end_offset {end_offset}"
+            )
         yield [(entry.offset, entry.payload) for entry in chunk]
         offset += len(chunk)
 

@@ -1,10 +1,9 @@
 """Unified dataflow layer: pipeline description plus its translation.
 
-A pipeline applies three kinds of transform to collections of bytes:
-ReadFromLog at the root, ParDo, and WriteToLog, after which nothing
-may follow. `translate` turns a linear pipeline (one
-ReadFromLog, a chain of ParDo, one WriteToLog) into a topology on a
-given native engine. The translation always emits a fixed wrapper
+A pipeline is (read, pardos, write): one ReadFromLog, a chain of
+ParDo transforms over bytes, and one WriteToLog, so a pipeline that is
+not linear cannot be expressed. `translate` turns it into a topology
+on a given native engine. The translation always emits a fixed wrapper
 chain around the user's transforms, and this chain is the measured
 abstraction overhead:
 
@@ -27,23 +26,10 @@ the key-value pair use a length-prefixed field encoding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .topology import Engine, Job
-
-
-class PipelineError(Exception):
-    pass
-
-
-class TypeMismatchError(PipelineError):
-    pass
-
-
-class UnsupportedConstructError(PipelineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,50 +51,13 @@ class WriteToLog:
 
 
 @dataclass(frozen=True)
-class PCollection:
-    id: int
-    terminal: bool = False
-
-
-@dataclass(frozen=True)
-class _Application:
-    transform: object
-    input: PCollection | None
-    output: PCollection
-
-
 class Pipeline:
-    """Program representation before runner translation."""
+    """Program representation before runner translation: one read, a
+    chain of ParDos, one write. No other shape can be expressed."""
 
-    def __init__(self):
-        self._applications: list[_Application] = []
-        self._ids = itertools.count()
-
-    @property
-    def applications(self) -> tuple[_Application, ...]:
-        return tuple(self._applications)
-
-    def apply(self, transform, pinput: PCollection | None = None) -> PCollection:
-        """Extend the DAG with one transform application and return its
-        output collection. pinput is None for the pipeline root."""
-        if not isinstance(transform, (ReadFromLog, ParDo, WriteToLog)):
-            raise TypeMismatchError(f"unknown transform {transform!r}")
-        if isinstance(transform, ReadFromLog):
-            if pinput is not None:
-                raise TypeMismatchError("ReadFromLog applies only at the pipeline root")
-        elif pinput is None:
-            raise TypeMismatchError(
-                f"{type(transform).__name__} requires an input collection"
-            )
-        elif not isinstance(pinput, PCollection):
-            raise TypeMismatchError(
-                f"{type(transform).__name__} takes a single input collection"
-            )
-        elif pinput.terminal:
-            raise TypeMismatchError("cannot apply a transform to a written collection")
-        output = PCollection(next(self._ids), terminal=isinstance(transform, WriteToLog))
-        self._applications.append(_Application(transform, pinput, output))
-        return output
+    read: ReadFromLog
+    pardos: tuple[ParDo, ...]
+    write: WriteToLog
 
 
 def group_by_key_semantics(window: Iterable[tuple]) -> list[tuple]:
@@ -160,33 +109,6 @@ def decode_fields(data: bytes) -> list[bytes]:
 _SOURCE_NODE = "UnknownRawPTransform"
 
 
-def _linear_transforms(pipeline: Pipeline):
-    """Validate the benchmark pipeline shape: one ReadFromLog, a linear
-    chain of ParDo transforms, one terminal WriteToLog."""
-    apps = pipeline.applications
-    reads = [a for a in apps if isinstance(a.transform, ReadFromLog)]
-    if len(reads) != 1:
-        raise UnsupportedConstructError("translation requires exactly one ReadFromLog")
-    consumers: dict[int, list[_Application]] = {}
-    for app in apps:
-        if app.input is not None:
-            consumers.setdefault(app.input.id, []).append(app)
-
-    chain = []
-    current = reads[0].output
-    while True:
-        next_apps = consumers.get(current.id, [])
-        if len(next_apps) != 1:
-            raise UnsupportedConstructError(
-                "translation requires a linear pipeline ending in WriteToLog"
-            )
-        app = next_apps[0]
-        if isinstance(app.transform, WriteToLog):
-            return reads[0].transform, chain, app.transform
-        chain.append(app.transform)
-        current = app.output
-
-
 def _make_envelope_fn(topic: str):
     topic_b = topic.encode("utf-8")
 
@@ -227,13 +149,13 @@ def translate(pipeline: Pipeline, engine: Engine, parallelism: int = 1) -> Job:
     Pure in structure: for a fixed (pipeline, engine kind, parallelism)
     the produced topology and plan are identical across calls.
     """
-    read, chain, write = _linear_transforms(pipeline)
+    read = pipeline.read
     builder = engine.build(read.topic, read.end_offset, source_name=_SOURCE_NODE)
     builder.flat_map(_make_envelope_fn(read.topic), name="FlatMap", with_index=True)
     builder.map(_without_metadata, name="withoutMetadata")
     builder.map(_values, name="Values")
-    for pardo in chain:
+    for pardo in pipeline.pardos:
         builder.flat_map(_adapt_pardo(pardo), name=pardo.name, with_index=pardo.with_index)
     builder.map(_serialize, name="serialize")
-    builder.sink_write(write.topic, name="sinkAppend")
+    builder.sink_write(pipeline.write.topic, name="sinkAppend")
     return Job(engine, builder.build(), parallelism)

@@ -59,11 +59,27 @@ def test_append_to_unknown_topic(broker):
 
 
 def test_append_invalid_partition(broker):
-    topic = broker.create_topic(TopicConfig("t", partitions=2))
+    topic = broker.create_topic(TopicConfig("t", partitions=1))
     with pytest.raises(InvalidPartitionError):
-        topic.append(2, b"x")
+        topic.append(1, b"x")
     with pytest.raises(InvalidPartitionError):
         topic.append(-1, b"x")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.read(1, 0, 1),
+        lambda t: t.boundary_timestamps(1),
+        lambda t: t.high_water_mark(1),
+    ],
+    ids=["read", "boundary_timestamps", "high_water_mark"],
+)
+def test_read_side_rejects_partition_1(broker, call):
+    topic = broker.create_topic(TopicConfig("t"))
+    topic.append(0, b"x")
+    with pytest.raises(InvalidPartitionError):
+        call(topic)
 
 
 def test_payload_round_trip_and_immutability(broker):
@@ -191,3 +207,5 @@ def test_topic_config_validation():
         TopicConfig("")
     with pytest.raises(ValueError):
         TopicConfig("t", partitions=0)
+    with pytest.raises(ValueError):
+        TopicConfig("t", partitions=2)

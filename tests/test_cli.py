@@ -194,6 +194,15 @@ def test_run_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_all_reports_after_run_failure(tmp_path):
+    code = run_cli(
+        "all", *tiny_args(tmp_path),
+        "--corpus-grep-match-count", "0", "--api-kinds", "native",
+    )
+    assert code == 2
+    assert (tmp_path / "report.md").exists()
+
+
 def test_corpus_export_matches_generator(tmp_path):
     out = tmp_path / "corpus.tsv"
     assert run_cli(

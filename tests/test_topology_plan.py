@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from streamlab.broker import LogBroker, TopicConfig
+from streamlab.microbatch import MicrobatchEngine
 from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
     MissingSinkError,
@@ -10,6 +12,7 @@ from streamlab.topology import (
     TopologyError,
     run_chain,
 )
+from streamlab.tuple_engine import TupleEngine
 
 
 def linear_builder(n_ops=1):
@@ -131,6 +134,22 @@ class TestRunChain:
             run_chain(chain, 7, b"boom", invocations)
         assert (info.value.node, info.value.index) == ("node", 7)
         assert isinstance(info.value.cause, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+def test_source_shorter_than_end_offset_raises(engine_cls, parallelism, run_with_timeout):
+    # Engine.build guards end_offset; a topology built directly does not.
+    broker = LogBroker()
+    broker.create_topic(TopicConfig("input")).append(0, b"only")
+    broker.create_topic(TopicConfig("out"))
+    topo = TopologyBuilder("input", 5).sink_write("out").build()
+    finished, raised = run_with_timeout(
+        lambda: engine_cls(broker).execute(topo, parallelism)
+    )
+    assert finished
+    assert isinstance(raised, TopologyError)
+    assert "'input'" in str(raised) and "offset 1" in str(raised) and "5" in str(raised)
 
 
 class TestPlan:

@@ -21,8 +21,6 @@ from streamlab.unified import (
     ParDo,
     Pipeline,
     ReadFromLog,
-    TypeMismatchError,
-    UnsupportedConstructError,
     WriteToLog,
     decode_fields,
     encode_fields,
@@ -45,40 +43,6 @@ def fresh_broker(payloads, topic="input"):
 def read_all(broker, topic):
     t = broker.topic(topic)
     return [e.payload for e in t.read(0, 0, t.high_water_mark(0))]
-
-
-class TestApply:
-    def test_linear_grep_pipeline_is_valid(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        pc = p.apply(ParDo("grep", lambda v: [v] if b"x" in v else []), pc)
-        p.apply(WriteToLog("out"), pc)
-        assert len(p.applications) == 3
-
-    def test_read_only_at_root(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        with pytest.raises(TypeMismatchError):
-            p.apply(ReadFromLog("other", 5), pc)
-
-    def test_write_is_terminal(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        done = p.apply(WriteToLog("out"), pc)
-        with pytest.raises(TypeMismatchError):
-            p.apply(ParDo("late", lambda v: [v]), done)
-
-    def test_unknown_transform_rejected(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        with pytest.raises(TypeMismatchError):
-            p.apply(object(), pc)
-
-    def test_pardo_takes_one_input_collection(self):
-        p = Pipeline()
-        pc = p.apply(ReadFromLog("input", 10))
-        with pytest.raises(TypeMismatchError):
-            p.apply(ParDo("pair", lambda v: [v]), [pc])
 
 
 class TestGroupByKeySemantics:
@@ -189,26 +153,39 @@ class TestTranslate:
             )
             assert len(unified.plan.nodes) >= len(native.plan.nodes) + 3
 
-    def test_non_linear_pipeline_rejected(self):
-        broker = fresh_broker([b"x"])
-        fan_out = Pipeline()
-        pc = fan_out.apply(ReadFromLog("input", 1))
-        a = fan_out.apply(ParDo("a", lambda v: [v]), pc)
-        fan_out.apply(ParDo("b", lambda v: [v]), pc)
-        fan_out.apply(WriteToLog("out"), a)
+    @pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+    def test_two_pardos_translate_in_order_and_match_native(self, engine_cls):
+        payloads = [b"r%d" % i for i in range(200)]
 
-        unwritten = Pipeline()
-        pc = unwritten.apply(ReadFromLog("input", 1))
-        unwritten.apply(ParDo("a", lambda v: [v]), pc)
+        def tag(value, index):
+            return [value + b"#%d" % index] if index % 3 else []
 
-        two_reads = Pipeline()
-        for topic in ("input", "other"):
-            pc = two_reads.apply(ReadFromLog(topic, 1))
-            two_reads.apply(WriteToLog(f"out-{topic}"), pc)
+        def twice(value):
+            return [value, value.upper()]
 
-        for pipeline in (fan_out, unwritten, two_reads):
-            with pytest.raises(UnsupportedConstructError):
-                translate(pipeline, TupleEngine(broker), 1)
+        broker = fresh_broker(payloads)
+        pipeline = Pipeline(
+            ReadFromLog("input", len(payloads)),
+            (ParDo("tag", tag, with_index=True), ParDo("twice", twice)),
+            WriteToLog("out-u"),
+        )
+        unified = translate(pipeline, engine_cls(broker), 2)
+        assert [n.name for n in unified.plan.nodes] == [
+            "UnknownRawPTransform", "FlatMap", "withoutMetadata", "Values",
+            "tag", "twice", "serialize", "sinkAppend",
+        ]
+        native = (
+            engine_cls(broker).build("input", len(payloads))
+            .flat_map(tag, with_index=True).flat_map(twice)
+            .sink_write("out-n").build()
+        )
+        for topic in ("out-u", "out-n"):
+            broker.create_topic(TopicConfig(topic))
+        unified.execute()
+        engine_cls(broker).execute(native, 2)
+        expected = Counter(w for i, v in enumerate(payloads) for t in tag(v, i) for w in twice(t))
+        assert Counter(read_all(broker, "out-u")) == Counter(read_all(broker, "out-n")) == expected
+
 
 class TestSemanticTransparency:
     def test_unified_equals_native_grep_all_engines(self, default_records):
