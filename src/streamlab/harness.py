@@ -120,7 +120,11 @@ class BenchmarkConfig:
         }
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.config_dict(), sort_keys=True)
+        """Hash of what determines the results: config_dict() without
+        output_dir, so a moved or copied output directory keeps it."""
+        config = self.config_dict()
+        del config["output_dir"]
+        canonical = json.dumps(config, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

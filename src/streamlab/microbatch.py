@@ -4,10 +4,12 @@ The bounded source range is discretized into immutable batches of
 max_batch_size elements (the final batch may be smaller). The range is
 already in the log when the job is built, so the calling thread reads
 each batch with one read just before it runs, and no batch waits for
-data to arrive. Each batch is split round-robin into p partitions
-processed concurrently, with a strict barrier between batches: every
-output of batch i is appended to the sink before any output of batch
-i+1. The first failing batch ends the job; no later batch is read.
+data to arrive. A batch is read as a start offset and a list of
+payloads, and each element's index is its offset. Each batch is split
+round-robin into p partitions processed concurrently, with a strict
+barrier between batches: every output of batch i is appended to the
+sink before any output of batch i+1. The first failing batch ends the
+job; no later batch is read.
 """
 
 from __future__ import annotations
@@ -52,12 +54,19 @@ class MicrobatchEngine(Engine):
         batch_sink_bounds: list[tuple[int, int]] = []
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            for batch in read_chunks(source, topology.end_offset, self.policy.max_batch_size):
+            for start, batch in read_chunks(
+                source, topology.end_offset, self.policy.max_batch_size
+            ):
                 batch_count += 1
                 pre_hwm = sink.high_water_mark(0)
-                # Partition i is empty, and gets no task, when i >= len(batch).
+                end = start + len(batch)
+                # Partition i holds offsets start + i, start + i + p, ...; it
+                # is empty, and gets no task, when i >= len(batch).
                 work = [
-                    (batch[i::parallelism], defaultdict(int))
+                    (
+                        list(zip(range(start + i, end, parallelism), batch[i::parallelism])),
+                        defaultdict(int),
+                    )
                     for i in range(min(parallelism, len(batch)))
                 ]
                 # run_chain is passed by this module's name for it, so that

@@ -3,13 +3,17 @@
 Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
 sink. `read_chunks` is the one place where either engine reads its
-source. Chained operators run fused: each element makes one pass
-through the whole chain with one function call per operator and no
-inter-operator queueing. `drain` is the one loop both engines use to
-push elements through a chain into the sink. Every node is called
-fn(payload, source_index) and returns an iterable of outputs; the
-builder adapts each user function to that once. The sink is always the
-last node of `Topology.operators`, with fn None.
+source: it yields (start offset, payloads) chunks from
+`Topic.read_payloads`, so no per-record log entry is built. Chained
+operators run fused: each element makes one pass through the whole
+chain with one function call per operator and no inter-operator
+queueing; `run_chain` calls a node once per value entering it, and
+when that is one value it skips the nested comprehension. `drain` is
+the one loop both engines use to push elements through a chain into
+the sink. Every node is called fn(payload, source_index) and returns an
+iterable of outputs; the builder adapts each user function to that
+once. The sink is always the last node of `Topology.operators`, with fn
+None.
 """
 
 from __future__ import annotations
@@ -191,18 +195,19 @@ def _check_name(name: str) -> str:
 
 def read_chunks(source, end_offset: int, size: int):
     """Yield partition 0 of the source topic over [0, end_offset) as
-    lists of (offset, payload), one read of at most size entries each.
-    Raises TopologyError if the log ends before end_offset."""
+    (start, payloads): one `read_payloads` of at most size entries each,
+    with payloads[k] at offset start + k. Raises TopologyError if the log
+    ends before end_offset."""
     offset = 0
     while offset < end_offset:
-        chunk = source.read(0, offset, min(size, end_offset - offset))
-        if not chunk:
+        payloads = source.read_payloads(0, offset, min(size, end_offset - offset))
+        if not payloads:
             raise TopologyError(
                 f"topic {source.name!r} ends at offset {offset}, "
                 f"before end_offset {end_offset}"
             )
-        yield [(entry.offset, entry.payload) for entry in chunk]
-        offset += len(chunk)
+        yield offset, payloads
+        offset += len(payloads)
 
 
 def run_chain(
@@ -216,9 +221,14 @@ def run_chain(
     Returns the surviving values (empty once a node drops it)."""
     values = [payload]
     for op in operators:
-        invocations[op.name] += len(values)
+        n = len(values)
+        invocations[op.name] += n
         try:
-            values = [w for v in values for w in op.fn(v, index)]
+            # One value (the common case) needs no nested comprehension.
+            if n == 1:
+                values = list(op.fn(values[0], index))
+            else:
+                values = [w for v in values for w in op.fn(v, index)]
         except Exception as exc:
             raise OperatorFailure(op.name, index, exc) from exc
         if not values:
@@ -232,10 +242,11 @@ def drain(run, operators, items, sink, invocations) -> int:
     topic, counting each at the sink, the last node. Returns the number
     appended."""
     chain = operators[:-1]
+    append = sink.append
     appended = 0
     for index, payload in items:
         for value in run(chain, index, payload, invocations):
-            sink.append(0, value)
+            append(0, value)
             appended += 1
     invocations[operators[-1].name] += appended
     return appended

@@ -3,7 +3,9 @@
 Each source element traverses the full operator chain individually in
 one fused pass (operator chaining), then surviving values are appended
 to the sink topic; `topology.drain` is that loop. The source is read
-in chunks through `topology.read_chunks`. With parallelism 1 the reader
+in chunks of payloads through `topology.read_chunks`, and each element's
+index is its offset, counted from the chunk's start; no per-record
+entry object is built. With parallelism 1 the reader
 and the single lane are fused into the calling thread and output order
 equals source order. With parallelism p > 1 the calling thread reads
 and distributes elements round-robin to p lane threads, each draining
@@ -34,7 +36,8 @@ class TupleEngine(Engine):
         chunks = read_chunks(source, topology.end_offset, _READ_CHUNK)
         sink = self._broker.topic(topology.sink_topic)
         if parallelism == 1:
-            return self._execute_single(topology, chain.from_iterable(chunks), sink)
+            items = chain.from_iterable(enumerate(payloads, start) for start, payloads in chunks)
+            return self._execute_single(topology, items, sink)
         return self._execute_lanes(topology, chunks, sink, parallelism)
 
     def _execute_single(self, topology, items, sink):
@@ -58,8 +61,8 @@ class TupleEngine(Engine):
         # every lane.
         puts = cycle([lane.queue.put for lane in lanes])
         try:
-            for items in chunks:
-                for item, put in zip(items, puts):
+            for start, payloads in chunks:
+                for item, put in zip(enumerate(payloads, start), puts):
                     put(item)
                 if any(lane.failure for lane in lanes):
                     break

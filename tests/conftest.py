@@ -34,8 +34,8 @@ def no_engine_thread_outlives_a_test():
 
 @pytest.fixture
 def failing_read(monkeypatch):
-    """Make every Topic.read after the first raise OSError."""
-    real_read = Topic.read
+    """Make every Topic.read_payloads after the first raise OSError."""
+    real_read = Topic.read_payloads
     calls = []
 
     def read(self, partition, from_offset, max_count):
@@ -44,7 +44,7 @@ def failing_read(monkeypatch):
             raise OSError("read failed")
         return real_read(self, partition, from_offset, max_count)
 
-    monkeypatch.setattr(Topic, "read", read)
+    monkeypatch.setattr(Topic, "read_payloads", read)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from streamlab.broker import (
     LogBroker,
     TopicConfig,
     UnknownTopicError,
+    clock_ms,
 )
 
 
@@ -70,10 +71,11 @@ def test_append_invalid_partition(broker):
     "call",
     [
         lambda t: t.read(1, 0, 1),
+        lambda t: t.read_payloads(1, 0, 1),
         lambda t: t.boundary_timestamps(1),
         lambda t: t.high_water_mark(1),
     ],
-    ids=["read", "boundary_timestamps", "high_water_mark"],
+    ids=["read", "read_payloads", "boundary_timestamps", "high_water_mark"],
 )
 def test_read_side_rejects_partition_1(broker, call):
     topic = broker.create_topic(TopicConfig("t"))
@@ -99,6 +101,48 @@ def test_read_basics(broker):
     assert [e.payload for e in entries] == [b"0", b"1", b"2"]
     assert topic.read(0, 3, 10) == []
     assert topic.read(0, 1, 1)[0].payload == b"1"
+
+
+def test_read_payloads_equals_the_payloads_of_read(broker):
+    rng = random.Random(11)
+    topic = broker.create_topic(TopicConfig("t"))
+    for i in range(50):
+        topic.append(0, b"p%d" % i)
+    ranges = [(0, 0), (0, 50), (0, 60), (49, 1), (50, 3), (55, 2), (10, 0)]
+    ranges += [(rng.randint(0, 55), rng.randint(0, 20)) for _ in range(200)]
+    for start, count in ranges:
+        expected = [e.payload for e in topic.read(0, start, count)]
+        assert topic.read_payloads(0, start, count) == expected, (start, count)
+
+
+@pytest.mark.parametrize("start, count", [(-1, 1), (0, -1)])
+def test_read_payloads_rejects_negative_arguments(broker, start, count):
+    topic = broker.create_topic(TopicConfig("t"))
+    topic.append(0, b"x")
+    with pytest.raises(ValueError):
+        topic.read_payloads(0, start, count)
+
+
+def test_read_payloads_returns_a_copy(broker):
+    topic = broker.create_topic(TopicConfig("t"))
+    for payload in (b"a", b"b", b"c"):
+        topic.append(0, payload)
+    got = topic.read_payloads(0, 0, 3)
+    got[0] = b"changed"
+    got.append(b"extra")
+    del got[1]
+    assert topic.read_payloads(0, 0, 10) == [b"a", b"b", b"c"]
+    assert topic.high_water_mark(0) == 3
+
+
+def test_append_stamp_is_the_clock_during_the_append(broker):
+    topic = broker.create_topic(TopicConfig("t"))
+    for _ in range(100):
+        before = clock_ms()
+        offset, ts = topic.append(0, b"x")
+        after = clock_ms()
+        assert before <= ts <= after
+        assert topic.read(0, offset, 1)[0].append_ts == ts
 
 
 def test_interleaved_appends_and_reads_replay():

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 
 import pytest
 
@@ -64,6 +66,16 @@ def test_all_writes_full_report(tmp_path):
         assert (tmp_path / name).exists(), name
     plans = list((tmp_path / "plans").glob("plan-*.txt"))
     assert len(plans) == 2  # native + unified setups
+
+
+def test_report_on_a_copied_directory_keeps_the_config_hash(tmp_path):
+    original, copy = tmp_path / "original", tmp_path / "copy"
+    assert run_cli("all", *tiny_args(original)) == 0
+    shutil.copytree(original, copy)
+    assert run_cli("report", str(copy)) == 0
+    metadata_hash = json.loads((copy / "metadata.json").read_text())["config_hash"]
+    report_md = (copy / "report.md").read_text()
+    assert re.search(r'"config_hash": "([0-9a-f]+)"', report_md).group(1) == metadata_hash
 
 
 def test_report_requires_bench_output(tmp_path):

@@ -21,18 +21,18 @@ def read_all(broker, topic):
 
 @pytest.fixture
 def input_reads(monkeypatch, ingested_broker):
-    """Record each read of the "input" topic as (entries returned, high-
+    """Record each read of the "input" topic as (payloads returned, high-
     water mark of the "out" topic when the read was made)."""
-    real_read = Topic.read
+    real_read = Topic.read_payloads
     reads = []
 
     def read(self, partition, from_offset, max_count):
-        entries = real_read(self, partition, from_offset, max_count)
+        payloads = real_read(self, partition, from_offset, max_count)
         if self.name == "input":
-            reads.append((len(entries), ingested_broker.topic("out").high_water_mark(0)))
-        return entries
+            reads.append((len(payloads), ingested_broker.topic("out").high_water_mark(0)))
+        return payloads
 
-    monkeypatch.setattr(Topic, "read", read)
+    monkeypatch.setattr(Topic, "read_payloads", read)
     return reads
 
 

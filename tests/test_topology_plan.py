@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamlab.broker import LogBroker, TopicConfig
+from streamlab.broker import LogBroker, Topic, TopicConfig
 from streamlab.microbatch import MicrobatchEngine
 from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
@@ -134,6 +134,85 @@ class TestRunChain:
             run_chain(chain, 7, b"boom", invocations)
         assert (info.value.node, info.value.index) == ("node", 7)
         assert isinstance(info.value.cause, ZeroDivisionError)
+
+    def test_generators_on_the_one_value_and_the_many_value_path(self):
+        # "halves" sees one value and fans out; "again" then sees two.
+        topo = (
+            TopologyBuilder("input", 1)
+            .flat_map(lambda v: (v[:k] for k in (1, 2)), name="halves")
+            .flat_map(lambda v: (w for w in (v, v.upper())), name="again")
+            .sink_write("out")
+            .build()
+        )
+        invocations = {op.name: 0 for op in topo.operators}
+        out = run_chain(topo.operators[:-1], 0, b"ab", invocations)
+        assert type(out) is list
+        assert out == [b"a", b"A", b"ab", b"AB"]
+        assert invocations == {"halves": 1, "again": 2, "sink": 0}
+
+    @pytest.mark.parametrize("fan_out", [1, 3], ids=["one-value", "many-value"])
+    def test_generator_failing_partway_names_node_and_index(self, fan_out):
+        def partial(v):
+            yield v
+            raise ValueError("halfway")
+
+        chain = (
+            TopologyBuilder("input", 1)
+            .flat_map(lambda v: [v] * fan_out, name="fan")
+            .flat_map(partial, name="partial")
+            .sink_write("out")
+            .build()
+            .operators[:-1]
+        )
+        invocations = {"fan": 0, "partial": 0}
+        with pytest.raises(OperatorFailure) as info:
+            run_chain(chain, 4, b"x", invocations)
+        assert (info.value.node, info.value.index) == ("partial", 4)
+        assert isinstance(info.value.cause, ValueError)
+        assert invocations == {"fan": 1, "partial": fan_out}
+
+    @pytest.mark.parametrize("payload, expected", [(b"keep", [b"keep"]), (b"drop", [])])
+    def test_returns_a_list(self, payload, expected):
+        chain = (
+            TopologyBuilder("input", 1)
+            .filter(lambda v: v == b"keep")
+            .sink_write("out")
+            .build()
+            .operators[:-1]
+        )
+        out = run_chain(chain, 0, payload, {"filter": 0})
+        assert type(out) is list and out == expected
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+def test_engines_never_build_log_entries(engine_cls, parallelism, monkeypatch):
+    # Topic.read builds a LogEntry per record; the engines read payloads
+    # only. 2,503 records span several tuple chunks and micro-batches,
+    # the last one partial, so the tagged indices check every chunk's
+    # start offset.
+    payloads = [b"r%d" % i for i in range(2503)]
+    broker = LogBroker()
+    source = broker.create_topic(TopicConfig("input"))
+    for payload in payloads:
+        source.append(0, payload)
+    sink = broker.create_topic(TopicConfig("out"))
+
+    def no_read(self, partition, from_offset, max_count):
+        raise AssertionError("Topic.read called")
+
+    monkeypatch.setattr(Topic, "read", no_read)
+    engine = engine_cls(broker)
+    topo = (
+        engine.build("input", len(payloads))
+        .map(lambda v, i: b"%d:" % i + v, with_index=True)
+        .sink_write("out")
+        .build()
+    )
+    report = engine.execute(topo, parallelism)
+    assert report.records_out == len(payloads)
+    written = sink.read_payloads(0, 0, sink.high_water_mark(0))
+    assert sorted(written) == sorted(b"%d:" % i + p for i, p in enumerate(payloads))
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
