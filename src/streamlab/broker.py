@@ -18,7 +18,10 @@ engines, the harness and the benchmark (which wraps `Topic.append` and
 
 This is the timing substrate for the whole benchmark: execution times
 are derived from the append timestamps of output-topic records, which
-keeps the measurement independent of any engine's own metrics.
+keeps the measurement independent of any engine's own metrics. The
+broker keeps every log in memory until `drop_topic` releases it; the
+harness drops each run's output topic once it has read the run's
+timing from it.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ class LogBroker:
             return self._topics[name]
         except KeyError:
             raise UnknownTopicError(f"no topic named {name!r}") from None
+
+    def drop_topic(self, name: str) -> None:
+        """Remove a topic and release its log; the name can be created
+        again."""
+        with self._lock:
+            if self._topics.pop(name, None) is None:
+                raise UnknownTopicError(f"no topic named {name!r}")
 
     def has_topic(self, name: str) -> bool:
         return name in self._topics

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 from .broker import LogBroker, TopicConfig
-from .corpus import CorpusSpec, generate_corpus, write_corpus
+from .corpus import CorpusSpec, iter_corpus, write_corpus
 from .harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
@@ -257,7 +257,7 @@ def cmd_corpus_export(args) -> int:
                           f"{', '.join(non_corpus)}")
     values.update(_flag_overrides(args))
     spec = _config_from_values(values, Path(DEFAULT_VALUES["output_dir"])).corpus_spec
-    count = write_corpus(generate_corpus(spec), args.out)
+    count = write_corpus(iter_corpus(spec), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
 

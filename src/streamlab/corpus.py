@@ -5,7 +5,9 @@ Records follow the five-column tab-separated search-log layout
 URL). The generator is a pure function of its spec: a fixed seed yields
 a bit-identical corpus, with an exact number of rows whose query text
 contains the grep needle and a guarantee that no other row contains it
-anywhere in its serialized form.
+anywhere in its serialized form. `iter_corpus` yields the records one
+at a time, so the sender can append a corpus of any size without
+holding it; `generate_corpus` is the same records as a list.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .broker import LogBroker
 
@@ -136,12 +138,13 @@ def _draw_record(rng: random.Random, words: Sequence[str], needle: str | None) -
     )
 
 
-def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
-    """Generate exactly spec.n_records records, exactly
+def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
+    """Yield exactly spec.n_records records, one at a time, exactly
     resolved_match_count of which contain the needle (in query_text);
     the serialized form of every other record is needle-free.
 
-    Deterministic: the output is a pure function of the spec.
+    Deterministic: the records are a pure function of the spec, and
+    only the set of match rows is held while they are drawn.
     """
     rng = random.Random(spec.rng_seed)
     needle = spec.grep_needle
@@ -150,7 +153,6 @@ def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
         raise CorpusError(f"needle {needle!r} occurs in every vocabulary word")
 
     match_rows = set(rng.sample(range(spec.n_records), spec.resolved_match_count()))
-    records = []
     for i in range(spec.n_records):
         is_match = i in match_rows
         for _ in range(_MAX_DRAW_ATTEMPTS):
@@ -161,8 +163,12 @@ def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
             raise CorpusError(
                 f"could not generate a needle-free record for needle {needle!r}"
             )
-        records.append(record)
-    return records
+        yield record
+
+
+def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
+    """The records of iter_corpus(spec), as a list."""
+    return list(iter_corpus(spec))
 
 
 def write_corpus(records: Iterable[SearchLogRecord], path: Path | str) -> int:
@@ -185,12 +191,13 @@ class IngestSummary:
 
 
 def send(
-    records: Sequence[SearchLogRecord],
+    records: Iterable[SearchLogRecord],
     broker: LogBroker,
     topic_name: str,
 ) -> IngestSummary:
     """Append all records to partition 0 of an existing, empty topic,
-    in corpus order."""
+    in corpus order. Each record is serialized and appended as it is
+    taken from records, so a generator is sent without being held."""
     topic = broker.topic(topic_name)
     if topic.high_water_mark(0) != 0:
         raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")

@@ -7,8 +7,11 @@ topic, and statistics are aggregated afterwards.
 
 Execution time of one run is defined purely from broker metadata: the
 difference between the append timestamps of the first and the last
-record in the run's output topic. The value can be recomputed from the
-log at any time and never relies on engine-reported numbers.
+record in the run's output topic. The value never relies on
+engine-reported numbers. It is read from the log right after the run,
+and the output topic is then dropped, unless the caller asks
+`phase_execute` to retain outputs, in which case it can be recomputed
+from the log at any later time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .broker import LogBroker, TopicConfig, clock_ms
-from .corpus import CorpusSpec, IngestSummary, generate_corpus, send
+from .corpus import CorpusSpec, IngestSummary, iter_corpus, send
+# Not called here since ingest streams the corpus; the benchmark's
+# tracer still wraps harness.generate_corpus by name.
+from .corpus import generate_corpus  # noqa: F401
 from .microbatch import BatchPolicy
 from .plan import ExecutionPlan, plan_to_text
 from .queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
@@ -193,17 +199,24 @@ class SlowdownReport:
 # Phases.
 
 def phase_ingest(config: BenchmarkConfig, broker: LogBroker) -> IngestSummary:
-    """Generate the corpus and append it, in order, to the input topic."""
+    """Generate the corpus and append it, in order, to the input topic.
+    Records are appended as they are generated, so the record list is
+    never held."""
     if not broker.has_topic(INPUT_TOPIC):
         broker.create_topic(TopicConfig(INPUT_TOPIC, partitions=1))
-    records = generate_corpus(config.corpus_spec)
-    return send(records, broker, INPUT_TOPIC)
+    return send(iter_corpus(config.corpus_spec), broker, INPUT_TOPIC)
 
 
-def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcome:
+def phase_execute(
+    config: BenchmarkConfig, broker: LogBroker, *, retain_outputs: bool = False
+) -> ExecutionOutcome:
     """Run every setup runs_per_setup times, each against a fresh
     single-partition output topic and a fresh engine instance. A failing
-    run aborts its setup; remaining setups continue."""
+    run aborts its setup; remaining setups continue.
+
+    Each output topic is dropped once the run's execution time has been
+    read from it, whether the run succeeded or failed, so memory does
+    not grow with the number of runs; retain_outputs keeps them all."""
     end_offset = broker.topic(INPUT_TOPIC).high_water_mark(0)
     if end_offset == 0:
         raise HarnessError("input topic is empty; run the ingest phase first")
@@ -238,6 +251,9 @@ def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcom
                     SetupFailure(setup, label, f"{type(exc).__name__}: {exc}")
                 )
                 break
+            finally:
+                if not retain_outputs:
+                    broker.drop_topic(out_topic)
             if label.startswith("warm"):
                 continue
             results.append(

@@ -8,9 +8,12 @@ index is its offset, counted from the chunk's start; no per-record
 entry object is built. With parallelism 1 the reader
 and the single lane are fused into the calling thread and output order
 equals source order. With parallelism p > 1 the calling thread reads
-and distributes elements round-robin to p lane threads, each draining
-its own queue through its own fused chain; only multiset equality of
-the output is guaranteed across lanes.
+and deals elements round-robin to p lane threads: lane k gets the
+offsets k, k + p, k + 2p, ..., as one slice of each chunk, and drains
+them through its own fused chain. Each lane's queue holds at most two
+slices, so the reader waits for a slow lane instead of queueing the
+source ahead of it, and memory does not grow with the corpus. Only
+multiset equality of the output is guaranteed across lanes.
 
 The run is bounded: end_offset is fixed when the topology is built, and
 execute returns only after every in-flight element has been sunk.
@@ -21,11 +24,14 @@ from __future__ import annotations
 import queue
 import threading
 from collections import defaultdict
-from itertools import chain, cycle
+from itertools import chain, count
 
 from .topology import Engine, Topology, drain, job_report, read_chunks, run_chain
 
 _READ_CHUNK = 1024
+# Slices a lane's queue holds before the reader waits on it, so the
+# lanes' backlog is at most two chunks of source, whatever its size.
+_LANE_QUEUE_SLICES = 2
 
 
 class TupleEngine(Engine):
@@ -48,7 +54,7 @@ class TupleEngine(Engine):
         return job_report(topology, records_out, invocations, lanes=1)
 
     def _execute_lanes(self, topology, chunks, sink, parallelism):
-        lanes = [_Lane(topology, sink) for _ in range(parallelism)]
+        lanes = [_Lane(topology, sink, parallelism) for _ in range(parallelism)]
         threads = [
             threading.Thread(target=lane.run, name=f"tuple-lane-{i}", daemon=True)
             for i, lane in enumerate(lanes)
@@ -56,14 +62,17 @@ class TupleEngine(Engine):
         for t in threads:
             t.start()
 
-        # Round-robin over elements, not chunks: zip takes the item first,
-        # so a chunk's end uses no lane's turn. A failing read still ends
-        # every lane.
-        puts = cycle([lane.queue.put for lane in lanes])
+        # Lane k owns the offsets k, k + p, k + 2p, ...: from each chunk
+        # it gets one slice, starting at the chunk's first such offset.
+        # A put blocks while that lane's queue is full; a failed lane
+        # keeps taking until its sentinel, so the reader never blocks on
+        # it for good. A failing read still ends every lane.
         try:
             for start, payloads in chunks:
-                for item, put in zip(enumerate(payloads, start), puts):
-                    put(item)
+                for k, lane in enumerate(lanes):
+                    j = (k - start) % parallelism
+                    if j < len(payloads):
+                        lane.queue.put((start + j, payloads[j::parallelism]))
                 if any(lane.failure for lane in lanes):
                     break
         finally:
@@ -80,27 +89,34 @@ class TupleEngine(Engine):
         records_out = 0
         for lane in lanes:
             records_out += lane.records_out
-            for name, count in lane.invocations.items():
-                invocations[name] += count
+            for name, calls in lane.invocations.items():
+                invocations[name] += calls
         return job_report(topology, records_out, invocations, lanes=parallelism)
 
 
 class _Lane:
-    """One worker owning a full fused chain; fed by the reader."""
+    """One worker owning a full fused chain; fed by the reader with
+    (first offset, payloads) slices whose offsets step by the number of
+    lanes."""
 
-    def __init__(self, topology: Topology, sink):
-        self.queue: queue.SimpleQueue = queue.SimpleQueue()
+    def __init__(self, topology: Topology, sink, stride: int):
+        self.queue: queue.Queue = queue.Queue(_LANE_QUEUE_SLICES)
         self.invocations: dict[str, int] = defaultdict(int)
         self.records_out = 0
         self.failure: Exception | None = None
         self._topology = topology
         self._sink = sink
+        self._stride = stride
 
     def run(self):
+        stride = self._stride
+        items = chain.from_iterable(
+            zip(count(first, stride), payloads)
+            for first, payloads in iter(self.queue.get, None)
+        )
         try:
             self.records_out = drain(
-                run_chain, self._topology.operators, iter(self.queue.get, None),
-                self._sink, self.invocations,
+                run_chain, self._topology.operators, items, self._sink, self.invocations,
             )
         except Exception as exc:
             self.failure = exc

@@ -39,6 +39,23 @@ def test_create_topic_duplicate_name(broker):
         broker.create_topic(TopicConfig("input"))
 
 
+def test_drop_topic(broker):
+    with pytest.raises(UnknownTopicError):
+        broker.drop_topic("out")
+    kept = broker.create_topic(TopicConfig("input"))
+    kept.append(0, b"kept")
+    broker.create_topic(TopicConfig("out")).append(0, b"dropped")
+    broker.drop_topic("out")
+    assert broker.topic_names() == ["input"]
+    assert not broker.has_topic("out")
+    with pytest.raises(UnknownTopicError):
+        broker.drop_topic("out")
+    # the name is free again, for a new, empty log
+    assert broker.create_topic(TopicConfig("out")).high_water_mark(0) == 0
+    assert broker.topic("input") is kept
+    assert kept.read_payloads(0, 0, 10) == [b"kept"]
+
+
 def test_appends_get_dense_offsets(broker):
     topic = broker.create_topic(TopicConfig("out-run-3", partitions=1))
     offsets = [topic.append(0, b"payload-%d" % i)[0] for i in range(5)]

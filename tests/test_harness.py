@@ -1,10 +1,17 @@
 import random
 import statistics
+import tracemalloc
 
 import pytest
 
 from streamlab.broker import LogBroker, TopicConfig
-from streamlab.corpus import CorpusSpec, TopicNotEmptyError
+from streamlab.corpus import (
+    CorpusError,
+    CorpusSpec,
+    TopicNotEmptyError,
+    generate_corpus,
+    serialize_record,
+)
 from streamlab.harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
@@ -24,6 +31,7 @@ from streamlab.harness import (
     write_results_csv,
 )
 from streamlab.queries import ApiKind, EngineKind, QueryKind
+from streamlab.tuple_engine import TupleEngine
 
 # Ten measured execution times (seconds) for one engine's identity
 # query at parallelisms one and two; frozen reference data for the
@@ -222,7 +230,7 @@ class TestPhases:
         config = tiny_config()
         broker = LogBroker()
         phase_ingest(config, broker)
-        phase_execute(config, broker)
+        phase_execute(config, broker, retain_outputs=True)
         out_topics = [t for t in broker.topic_names() if t.startswith("out-")]
         # one topic per (setup, run)
         assert len(out_topics) == 8
@@ -232,7 +240,7 @@ class TestPhases:
         config = tiny_config()
         broker = LogBroker()
         phase_ingest(config, broker)
-        outcome = phase_execute(config, broker)
+        outcome = phase_execute(config, broker, retain_outputs=True)
         for result in outcome.results:
             topic = f"out-{result.setup.slug()}-{result.run_index}"
             assert compute_execution_time(broker, topic) == result.exec_time_ms
@@ -284,10 +292,94 @@ class TestPhases:
                              api_kinds=(ApiKind.NATIVE,))
         broker = LogBroker()
         phase_ingest(config, broker)
-        outcome = phase_execute(config, broker)
+        outcome = phase_execute(config, broker, retain_outputs=True)
         assert len(outcome.results) == 1
         warm_topics = [t for t in broker.topic_names() if "-warm" in t]
         assert len(warm_topics) == 2
+
+
+class TestOutputRetention:
+    """phase_execute drops each output topic once the run is timed."""
+
+    @staticmethod
+    def fail_after_one_append(broker):
+        def execute(engine, topology, parallelism=1):
+            broker.topic(topology.sink_topic).append(0, b"partial")
+            raise RuntimeError("job failed")
+
+        return execute
+
+    @pytest.mark.parametrize("case", ["success", "zero-output", "failing-job"])
+    def test_no_output_topic_remains(self, case, monkeypatch):
+        config = tiny_config(warmup=1)
+        if case == "zero-output":
+            config = tiny_config(
+                corpus_spec=CorpusSpec(n_records=301, grep_match_count=0),
+                queries=(QueryKind.GREP,),
+            )
+        broker = LogBroker()
+        phase_ingest(config, broker)
+        if case == "failing-job":
+            monkeypatch.setattr(TupleEngine, "execute", self.fail_after_one_append(broker))
+        outcome = phase_execute(config, broker)
+        assert bool(outcome.failures) == (case != "success")
+        assert broker.topic_names() == [INPUT_TOPIC]
+
+    def test_exec_time_is_last_minus_first_of_the_dropped_topic(self, monkeypatch):
+        real_drop = LogBroker.drop_topic
+        spans = {}
+
+        def drop(self, name):
+            first, last = self.topic(name).boundary_timestamps(0)
+            spans[name] = last - first
+            real_drop(self, name)
+
+        monkeypatch.setattr(LogBroker, "drop_topic", drop)
+        config = tiny_config(warmup=1, corpus_spec=CorpusSpec(n_records=5001))
+        broker = LogBroker()
+        phase_ingest(config, broker)
+        outcome = phase_execute(config, broker)
+        timed = {f"out-{r.setup.slug()}-{r.run_index}": r.exec_time_ms for r in outcome.results}
+        assert len(timed) == 8
+        assert timed == {name: ms for name, ms in spans.items() if "-warm" not in name}
+        assert sorted(name for name in spans if "-warm" in name) == sorted(
+            f"out-{setup.slug()}-warm0" for setup in config.setups()
+        )
+
+
+class TestIngest:
+    def test_input_topic_holds_the_corpus_in_order(self):
+        spec = CorpusSpec(n_records=2503)
+        broker = LogBroker()
+        summary = phase_ingest(tiny_config(corpus_spec=spec), broker)
+        assert summary.count == 2503
+        assert broker.topic(INPUT_TOPIC).read_payloads(0, 0, 3000) == [
+            serialize_record(r) for r in generate_corpus(spec)
+        ]
+
+    def test_needle_in_every_record_raises(self):
+        # every query_time holds a "2", so no record can be needle-free
+        config = tiny_config(corpus_spec=CorpusSpec(n_records=100, grep_needle="2"))
+        broker = LogBroker()
+        with pytest.raises(CorpusError):
+            phase_ingest(config, broker)
+        assert broker.topic(INPUT_TOPIC).high_water_mark(0) == 0
+
+    def test_ingest_never_holds_the_record_list(self):
+        spec = CorpusSpec(n_records=20001)
+        tracemalloc.start()
+        try:
+            records = generate_corpus(spec)
+            list_bytes = tracemalloc.get_traced_memory()[0]
+            del records
+            broker = LogBroker()
+            tracemalloc.reset_peak()
+            phase_ingest(tiny_config(corpus_spec=spec), broker)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert broker.topic(INPUT_TOPIC).high_water_mark(0) == 20001
+        assert peak - retained < list_bytes / 10
 
 
 class TestSlowdownReport:

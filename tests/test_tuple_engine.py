@@ -1,8 +1,11 @@
+import queue
 import threading
+import time
 from collections import Counter
 
 import pytest
 
+from streamlab import tuple_engine
 from streamlab.broker import TopicConfig
 from streamlab.topology import OperatorFailure, TopologyError
 from streamlab.tuple_engine import TupleEngine
@@ -142,3 +145,85 @@ def test_failing_source_read_ends_every_lane(
     assert finished
     assert isinstance(raised, OSError)
     assert not [t for t in threading.enumerate() if t.name.startswith("tuple-lane-")]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lane_k_gets_exactly_the_offsets_k_mod_p(
+    ingested_broker, engine, default_payloads, monkeypatch, p
+):
+    # 1001-record chunks: neither p divides a chunk, so each chunk starts
+    # a lane's slice at a different position
+    monkeypatch.setattr(tuple_engine, "_READ_CHUNK", 1001)
+    n = 2503
+    seen = []
+
+    def tag(v, i):
+        seen.append((threading.current_thread().name, i, v))
+        return v
+
+    topo = (
+        engine.build("input", n).map(tag, with_index=True)
+        .sink_write(out_topic(ingested_broker)).build()
+    )
+    assert engine.execute(topo, parallelism=p).records_out == n
+    by_lane = {}
+    for lane, i, v in seen:
+        assert v == default_payloads[i]
+        by_lane.setdefault(lane, []).append(i)
+    assert by_lane == {f"tuple-lane-{k}": list(range(k, n, p)) for k in range(p)}
+
+
+def test_a_slow_lane_holds_the_reader_back(ingested_broker, engine, monkeypatch):
+    backlogs = []  # payloads queued in a lane's queue, after each put
+    real_put = queue.Queue.put
+
+    def put(self, item, block=True, timeout=None):
+        real_put(self, item, block, timeout)
+        with self.mutex:
+            backlogs.append(sum(len(s[1]) for s in self.queue if s is not None))
+
+    monkeypatch.setattr(queue.Queue, "put", put)
+
+    def slow_on_lane_0(v):
+        if threading.current_thread().name == "tuple-lane-0":
+            time.sleep(0.0001)
+        return v
+
+    n = len(ingested_broker.topic("input").read_payloads(0, 0, 20_000))
+    topo = (
+        engine.build("input", n).map(slow_on_lane_0)
+        .sink_write(out_topic(ingested_broker)).build()
+    )
+    assert engine.execute(topo, parallelism=2).records_out == n == 10001
+    assert 0 < max(backlogs) <= 2 * tuple_engine._READ_CHUNK
+
+
+def test_lane_failing_while_the_reader_waits_on_it(
+    ingested_broker, engine, monkeypatch, run_with_timeout
+):
+    reader_waits = threading.Event()
+    real_put = queue.Queue.put
+
+    def put(self, item, block=True, timeout=None):
+        # lane 0's slices start at even offsets
+        if item is not None and item[0] % 2 == 0 and self.full():
+            reader_waits.set()
+        real_put(self, item, block, timeout)
+
+    monkeypatch.setattr(queue.Queue, "put", put)
+
+    def fail_on_lane_0(v):
+        if threading.current_thread().name == "tuple-lane-0":
+            reader_waits.wait(5)
+            raise ValueError("lane 0 failed")
+        return v
+
+    topo = (
+        engine.build("input", 10001).map(fail_on_lane_0, name="exploder")
+        .sink_write(out_topic(ingested_broker)).build()
+    )
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
+    assert finished
+    assert reader_waits.is_set()
+    assert isinstance(raised, OperatorFailure)
+    assert (raised.node, raised.index) == ("exploder", 0)
