@@ -9,9 +9,8 @@ Execution time of one run is defined purely from broker metadata: the
 difference between the append timestamps of the first and the last
 record in the run's output topic. The value never relies on
 engine-reported numbers. It is read from the log right after the run,
-and the output topic is then dropped, unless the caller asks
-`phase_execute` to retain outputs, in which case it can be recomputed
-from the log at any later time.
+and the output topic is then dropped, so memory does not grow with the
+number of runs.
 """
 
 from __future__ import annotations
@@ -207,16 +206,14 @@ def phase_ingest(config: BenchmarkConfig, broker: LogBroker) -> IngestSummary:
     return send(iter_corpus(config.corpus_spec), broker, INPUT_TOPIC)
 
 
-def phase_execute(
-    config: BenchmarkConfig, broker: LogBroker, *, retain_outputs: bool = False
-) -> ExecutionOutcome:
+def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcome:
     """Run every setup runs_per_setup times, each against a fresh
     single-partition output topic and a fresh engine instance. A failing
     run aborts its setup; remaining setups continue.
 
     Each output topic is dropped once the run's execution time has been
     read from it, whether the run succeeded or failed, so memory does
-    not grow with the number of runs; retain_outputs keeps them all."""
+    not grow with the number of runs."""
     end_offset = broker.topic(INPUT_TOPIC).high_water_mark(0)
     if end_offset == 0:
         raise HarnessError("input topic is empty; run the ingest phase first")
@@ -252,8 +249,7 @@ def phase_execute(
                 )
                 break
             finally:
-                if not retain_outputs:
-                    broker.drop_topic(out_topic)
+                broker.drop_topic(out_topic)
             if label.startswith("warm"):
                 continue
             results.append(

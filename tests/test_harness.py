@@ -53,6 +53,22 @@ def tiny_config(**overrides):
     return BenchmarkConfig(**defaults)
 
 
+@pytest.fixture
+def dropped(monkeypatch):
+    """(topic, last minus first append stamp) for every topic the broker
+    drops, in drop order, read from the log just before the drop."""
+    real_drop = LogBroker.drop_topic
+    spans = []
+
+    def drop(self, name):
+        first, last = self.topic(name).boundary_timestamps(0)
+        spans.append((name, last - first))
+        real_drop(self, name)
+
+    monkeypatch.setattr(LogBroker, "drop_topic", drop)
+    return spans
+
+
 class TestMeanTime:
     def test_reference_column_means(self):
         assert mean_time(RUNS_P1) == pytest.approx(6.525, rel=1e-9)
@@ -226,24 +242,25 @@ class TestPhases:
         with pytest.raises(Exception):
             phase_execute(config, broker)
 
-    def test_output_topics_fresh_per_run(self):
+    def test_output_topics_fresh_per_run(self, dropped):
         config = tiny_config()
         broker = LogBroker()
         phase_ingest(config, broker)
-        phase_execute(config, broker, retain_outputs=True)
-        out_topics = [t for t in broker.topic_names() if t.startswith("out-")]
+        phase_execute(config, broker)
+        out_topics = [t for t, _ in dropped if t.startswith("out-")]
         # one topic per (setup, run)
         assert len(out_topics) == 8
         assert len(set(out_topics)) == 8
 
-    def test_exec_time_recomputable_post_hoc(self):
+    def test_exec_time_recomputable_post_hoc(self, dropped):
         config = tiny_config()
         broker = LogBroker()
         phase_ingest(config, broker)
-        outcome = phase_execute(config, broker, retain_outputs=True)
+        outcome = phase_execute(config, broker)
+        recomputed = dict(dropped)
         for result in outcome.results:
             topic = f"out-{result.setup.slug()}-{result.run_index}"
-            assert compute_execution_time(broker, topic) == result.exec_time_ms
+            assert recomputed[topic] == result.exec_time_ms
 
     def test_records_out_deterministic_across_executions(self):
         config = tiny_config()
@@ -286,15 +303,15 @@ class TestPhases:
         assert failed_setups == {QueryKind.GREP}
         assert {r.setup.query for r in outcome.results} == {QueryKind.IDENTITY}
 
-    def test_warmup_runs_discarded(self):
+    def test_warmup_runs_discarded(self, dropped):
         config = tiny_config(runs_per_setup=1, warmup=2,
                              queries=(QueryKind.IDENTITY,),
                              api_kinds=(ApiKind.NATIVE,))
         broker = LogBroker()
         phase_ingest(config, broker)
-        outcome = phase_execute(config, broker, retain_outputs=True)
+        outcome = phase_execute(config, broker)
         assert len(outcome.results) == 1
-        warm_topics = [t for t in broker.topic_names() if "-warm" in t]
+        warm_topics = [t for t, _ in dropped if "-warm" in t]
         assert len(warm_topics) == 2
 
 
@@ -325,20 +342,12 @@ class TestOutputRetention:
         assert bool(outcome.failures) == (case != "success")
         assert broker.topic_names() == [INPUT_TOPIC]
 
-    def test_exec_time_is_last_minus_first_of_the_dropped_topic(self, monkeypatch):
-        real_drop = LogBroker.drop_topic
-        spans = {}
-
-        def drop(self, name):
-            first, last = self.topic(name).boundary_timestamps(0)
-            spans[name] = last - first
-            real_drop(self, name)
-
-        monkeypatch.setattr(LogBroker, "drop_topic", drop)
+    def test_exec_time_is_last_minus_first_of_the_dropped_topic(self, dropped):
         config = tiny_config(warmup=1, corpus_spec=CorpusSpec(n_records=5001))
         broker = LogBroker()
         phase_ingest(config, broker)
         outcome = phase_execute(config, broker)
+        spans = dict(dropped)
         timed = {f"out-{r.setup.slug()}-{r.run_index}": r.exec_time_ms for r in outcome.results}
         assert len(timed) == 8
         assert timed == {name: ms for name, ms in spans.items() if "-warm" not in name}

@@ -197,7 +197,9 @@ def test_a_slow_lane_holds_the_reader_back(
         .sink_write(out_topic(ingested_broker)).build()
     )
     assert engine.execute(topo, parallelism=2).records_out == n
-    assert 0 < max(backlogs) <= 2 * tuple_engine._READ_CHUNK
+    # a lane's queue holds at most two slices of ceil(chunk / p) payloads
+    slice_len = -(-tuple_engine._READ_CHUNK // 2)
+    assert 0 < max(backlogs) <= 2 * slice_len
 
 
 def test_lane_failing_while_the_reader_waits_on_it(
