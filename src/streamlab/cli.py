@@ -2,7 +2,7 @@
 
 Subcommands: bench (ingest the corpus and run every setup), report
 (aggregate a bench directory), all (bench then report in one run),
-plan inspection and corpus export.
+and plan inspection.
 
 Configuration comes from a JSON file of flat key paths (e.g.
 "corpus.n_records", "runs_per_setup") with a CLI flag twin for every
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 from .broker import LogBroker, TopicConfig
-from .corpus import CorpusSpec, iter_corpus, write_corpus
+from .corpus import CorpusSpec
 from .harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
@@ -103,15 +103,10 @@ def build_benchmark_config(args: argparse.Namespace) -> BenchmarkConfig:
     return _config_from_values(values, Path(out_dir))
 
 
-def _add_key_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    for key, flag, parse, _ in CONFIG_TABLE:
-        if key.startswith(prefix):
-            parser.add_argument(flag, type=parse, dest=key)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file (flat key paths)")
-    _add_key_flags(parser)
+    for key, flag, parse, _ in CONFIG_TABLE:
+        parser.add_argument(flag, type=parse, dest=key)
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the full-scale record count (1,000,001)")
 
@@ -249,19 +244,6 @@ def cmd_all(args) -> int:
     return status
 
 
-def cmd_corpus_export(args) -> int:
-    values = load_config_file(args.spec) if args.spec else {}
-    non_corpus = sorted(k for k in values if not k.startswith("corpus."))
-    if non_corpus:
-        raise ConfigError(f"corpus spec only accepts corpus.* keys, got: "
-                          f"{', '.join(non_corpus)}")
-    values.update(_flag_overrides(args))
-    spec = _config_from_values(values, Path(DEFAULT_VALUES["output_dir"])).corpus_spec
-    count = write_corpus(iter_corpus(spec), args.out)
-    print(f"wrote {count} records to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,14 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser("all", help="ingest, bench, and report in one run")
     _add_config_flags(p_all)
     p_all.set_defaults(fn=cmd_all)
-
-    p_corpus = sub.add_parser("corpus", help="corpus utilities")
-    corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
-    p_export = corpus_sub.add_parser("export", help="write the corpus to a text file")
-    p_export.add_argument("--spec", type=Path, help="JSON file with corpus.* keys")
-    p_export.add_argument("--out", type=Path, required=True)
-    _add_key_flags(p_export, prefix="corpus.")
-    p_export.set_defaults(fn=cmd_corpus_export)
 
     return parser
 

@@ -5,9 +5,14 @@ Records follow the five-column tab-separated search-log layout
 URL). The generator is a pure function of its spec: a fixed seed yields
 a bit-identical corpus, with an exact number of rows whose query text
 contains the grep needle and a guarantee that no other row contains it
-anywhere in its serialized form. `iter_corpus` yields the records one
-at a time, so the sender can append a corpus of any size without
-holding it; `generate_corpus` is the same records as a list.
+anywhere in its serialized form. Every value comes from one seeded
+Mersenne-Twister stream (`random.Random`) in a fixed draw order: the
+match rows through `sample`, the click coin through `random`, and
+every other field through `getrandbits`. The corpus digests pinned in
+the tests guard that stream and order; moving one draw changes every
+record after it and fails them. `iter_corpus` yields the records one at a time, so the sender can
+append a corpus of any size without holding it; `generate_corpus` is
+the same records as a list.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .broker import LogBroker
 
@@ -119,23 +123,14 @@ _VOCABULARY = (
 
 _TIME_BASE = datetime(2006, 3, 1)
 _TIME_SPAN_SECONDS = 90 * 24 * 3600
+# "YYYY-MM-DD " for each day of the span, so a query time is a table
+# lookup plus divmod instead of datetime arithmetic and strftime.
+_DAY_PREFIXES = tuple(
+    (_TIME_BASE + timedelta(days=d)).strftime("%Y-%m-%d ")
+    for d in range(_TIME_SPAN_SECONDS // 86400)
+)
 
 _MAX_DRAW_ATTEMPTS = 100
-
-
-def _draw_record(rng: random.Random, words: Sequence[str], needle: str | None) -> SearchLogRecord:
-    tokens = [rng.choice(words) for _ in range(rng.randint(1, 4))]
-    if needle is not None:
-        tokens.insert(rng.randint(0, len(tokens)), needle)
-    when = _TIME_BASE + timedelta(seconds=rng.randrange(_TIME_SPAN_SECONDS))
-    clicked = rng.random() < 0.5
-    return SearchLogRecord(
-        user_id=str(rng.randrange(100, 25_000_000)),
-        query_text=" ".join(tokens),
-        query_time=when.strftime("%Y-%m-%d %H:%M:%S"),
-        click_rank=rng.randint(1, 10) if clicked else None,
-        click_url=f"www.{rng.choice(words)}.com" if clicked else None,
-    )
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
@@ -148,16 +143,47 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
     """
     rng = random.Random(spec.rng_seed)
     needle = spec.grep_needle
+    needle_bytes = needle.encode("utf-8")
     words = tuple(w for w in _VOCABULARY if needle not in w)
     if not words:
         raise CorpusError(f"needle {needle!r} occurs in every vocabulary word")
+    n_words = len(words)
 
     match_rows = set(rng.sample(range(spec.n_records), spec.resolved_match_count()))
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+
+    # CPython's Random._randbelow_with_getrandbits, to which randint,
+    # randrange and choice all reduce: drawing through it directly
+    # consumes the same stream, in the same order, as those wrappers.
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     for i in range(spec.n_records):
         is_match = i in match_rows
         for _ in range(_MAX_DRAW_ATTEMPTS):
-            record = _draw_record(rng, words, needle if is_match else None)
-            if (needle in serialize_record(record).decode("utf-8")) == is_match:
+            # The draw order is part of the corpus: token count, tokens,
+            # needle slot (match rows), time offset, click coin, user id,
+            # then rank and URL (clicked rows).
+            tokens = [words[below(n_words)] for _ in range(1 + below(4))]
+            if is_match:
+                tokens.insert(below(len(tokens) + 1), needle)
+            day, second = divmod(below(_TIME_SPAN_SECONDS), 86400)
+            hour, second = divmod(second, 3600)
+            minute, second = divmod(second, 60)
+            clicked = uniform() < 0.5
+            record = SearchLogRecord(
+                user_id=str(100 + below(24_999_900)),
+                query_text=" ".join(tokens),
+                query_time="%s%02d:%02d:%02d" % (_DAY_PREFIXES[day], hour, minute, second),
+                click_rank=1 + below(10) if clicked else None,
+                click_url=f"www.{words[below(n_words)]}.com" if clicked else None,
+            )
+            if (needle_bytes in serialize_record(record)) == is_match:
                 break
         else:
             raise CorpusError(
@@ -169,18 +195,6 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
 def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
     """The records of iter_corpus(spec), as a list."""
     return list(iter_corpus(spec))
-
-
-def write_corpus(records: Iterable[SearchLogRecord], path: Path | str) -> int:
-    """Write records as newline-delimited serialized lines; returns the
-    row count. Bit-exact with the payloads the sender appends."""
-    count = 0
-    with open(path, "wb") as fh:
-        for record in records:
-            fh.write(serialize_record(record))
-            fh.write(b"\n")
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -202,8 +216,9 @@ def send(
     if topic.high_water_mark(0) != 0:
         raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")
 
+    append = topic.append
     for record in records:
-        topic.append(0, serialize_record(record))
+        append(0, serialize_record(record))
 
     count = topic.high_water_mark(0)
     if count == 0:

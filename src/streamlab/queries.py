@@ -54,10 +54,6 @@ class QuerySpec:
             raise ValueError("grep_needle must be non-empty")
 
 
-def identity_fn(payload: bytes) -> bytes:
-    return payload
-
-
 def sample_uniform(seed: int, index: int) -> float:
     """i-th value of a counter-based seeded generator, uniform in [0, 1)."""
     digest = hashlib.sha256(b"sample:%d:%d" % (seed, index)).digest()

@@ -13,7 +13,6 @@ from streamlab.cli import (
     build_parser,
     main,
 )
-from streamlab.corpus import CorpusSpec, generate_corpus, serialize_record
 from streamlab.harness import RESULTS_COLUMNS
 
 
@@ -213,35 +212,6 @@ def test_all_reports_after_run_failure(tmp_path):
     )
     assert code == 2
     assert (tmp_path / "report.md").exists()
-
-
-def test_corpus_export_matches_generator(tmp_path):
-    out = tmp_path / "corpus.tsv"
-    assert run_cli(
-        "corpus", "export", "--out", str(out),
-        "--corpus-n-records", "301", "--corpus-rng-seed", "99",
-    ) == 0
-    expected = [
-        serialize_record(r)
-        for r in generate_corpus(CorpusSpec(n_records=301, rng_seed=99))
-    ]
-    assert out.read_bytes() == b"\n".join(expected) + b"\n"
-
-
-def test_corpus_export_with_spec_file(tmp_path):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"corpus.n_records": 101, "corpus.rng_seed": 3}))
-    out = tmp_path / "corpus.tsv"
-    assert run_cli("corpus", "export", "--spec", str(spec_file), "--out", str(out)) == 0
-    assert len(out.read_bytes().strip().split(b"\n")) == 101
-
-
-def test_corpus_export_rejects_non_corpus_keys(tmp_path):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"runs_per_setup": 3}))
-    assert run_cli(
-        "corpus", "export", "--spec", str(spec_file), "--out", str(tmp_path / "x")
-    ) == 1
 
 
 def test_paper_scale_flag_sets_record_count(tmp_path):

@@ -12,10 +12,10 @@ from streamlab.corpus import (
     SearchLogRecord,
     TopicNotEmptyError,
     generate_corpus,
+    iter_corpus,
     parse_record,
     send,
     serialize_record,
-    write_corpus,
 )
 
 
@@ -116,6 +116,22 @@ class TestGeneration:
         spec = CorpusSpec(n_records=10001, rng_seed=42)
         assert corpus_digest(generate_corpus(spec)) == corpus_digest(generate_corpus(spec))
 
+    # Computed from the stdlib-wrapper generator (random.choice, randint,
+    # randrange, datetime + strftime) that the getrandbits draws replaced.
+    # The "99" spec redraws rows whose user id contains the needle.
+    @pytest.mark.parametrize("spec, digest", [
+        (CorpusSpec(50_001, rng_seed=901),
+         "5e29fab2b57daf50e2ddf9e6b9b0005de88deea637d26c46a180166fadcba2e2"),
+        (CorpusSpec(10_001),
+         "29d796e69eaef9ff1e62df8540b56452d8b17420b8238728e53e95f903f5790f"),
+        (CorpusSpec(400, grep_needle="flowers", grep_match_count=12, rng_seed=3),
+         "76ee37392f0799f883ab6d8adb80609f9e09ed70dd12659c9dc73aba5785b0bd"),
+        (CorpusSpec(2_000, grep_needle="99", grep_match_count=7, rng_seed=11),
+         "bc635d6c09fe81500a6f510841dac8ff5b843f18ce05fdeef720343afbaf2516"),
+    ], ids=["seed901-50001", "default-10001", "flowers-400", "redraw-99-2000"])
+    def test_pinned_corpus_digest(self, spec, digest):
+        assert corpus_digest(iter_corpus(spec)) == digest
+
     def test_different_seed_changes_corpus(self):
         a = generate_corpus(CorpusSpec(n_records=500, rng_seed=1))
         b = generate_corpus(CorpusSpec(n_records=500, rng_seed=2))
@@ -179,10 +195,3 @@ class TestSend:
         with pytest.raises(TopicNotEmptyError):
             send(default_records, broker, "input")
 
-
-def test_write_corpus_matches_broker_payloads(tmp_path, default_records):
-    path = tmp_path / "corpus.tsv"
-    count = write_corpus(default_records[:100], path)
-    assert count == 100
-    lines = path.read_bytes().split(b"\n")[:-1]
-    assert lines == [serialize_record(r) for r in default_records[:100]]

@@ -17,7 +17,6 @@ from streamlab.queries import (
     QuerySpec,
     build_query,
     grep_fn,
-    identity_fn,
     projection_fn,
     sample_fn,
     sample_uniform,
@@ -36,10 +35,6 @@ def reference_sample_decisions(seed, n, probability):
 
 
 class TestQueryFunctions:
-    def test_identity(self):
-        assert identity_fn(b"") == b""
-        assert identity_fn(b"a\tb\tc\td\te") == b"a\tb\tc\td\te"
-
     def test_projection(self):
         assert projection_fn(b"100\tflowers\t2006-03-01 10:00:00\t\t") == b"100"
         assert projection_fn(b"\ta\tb\tc\td") == b""
