@@ -10,9 +10,9 @@ Mersenne-Twister stream (`random.Random`) in a fixed draw order: the
 match rows through `sample`, the click coin through `random`, and
 every other field through `getrandbits`. The corpus digests pinned in
 the tests guard that stream and order; moving one draw changes every
-record after it and fails them. `iter_corpus` yields the records one at a time, so the sender can
-append a corpus of any size without holding it; `generate_corpus` is
-the same records as a list.
+record after it and fails them. `iter_corpus` yields the records one
+at a time, so the sender can append a corpus of any size without
+holding it; `generate_corpus` is the same records as a list.
 """
 
 from __future__ import annotations

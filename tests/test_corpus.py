@@ -116,9 +116,9 @@ class TestGeneration:
         spec = CorpusSpec(n_records=10001, rng_seed=42)
         assert corpus_digest(generate_corpus(spec)) == corpus_digest(generate_corpus(spec))
 
-    # Computed from the stdlib-wrapper generator (random.choice, randint,
-    # randrange, datetime + strftime) that the getrandbits draws replaced.
-    # The "99" spec redraws rows whose user id contains the needle.
+    # Every benchmark input is a pure function of its spec: any change to
+    # the random stream or the draw order changes these digests. The "99"
+    # spec runs the redraw loop (user ids that contain "99").
     @pytest.mark.parametrize("spec, digest", [
         (CorpusSpec(50_001, rng_seed=901),
          "5e29fab2b57daf50e2ddf9e6b9b0005de88deea637d26c46a180166fadcba2e2"),
