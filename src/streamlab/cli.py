@@ -19,12 +19,11 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 from .broker import LogBroker, TopicConfig
-from .corpus import CorpusSpec
+from .corpus import CorpusError, CorpusSpec
 from .harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
     HarnessError,
-    Setup,
     build_slowdown_report,
     emit_report,
     emit_runs,
@@ -34,7 +33,7 @@ from .harness import (
 )
 from .microbatch import BatchPolicy
 from .plan import plan_to_text
-from .queries import ApiKind, EngineKind, QueryKind, build_query
+from .queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
 
 DESK_SCALE_RECORDS = 10_001
 PAPER_SCALE_RECORDS = 1_000_001
@@ -222,15 +221,14 @@ def cmd_plan(args) -> int:
         raise ConfigError("parallelism must be >= 1")
     broker = LogBroker()
     broker.create_topic(TopicConfig(INPUT_TOPIC))
-    setup = Setup(engine, api_kind, query, args.parallelism)
     job = build_query(
-        BenchmarkConfig(corpus_spec=CorpusSpec(1)).query_spec(query),
+        QuerySpec(query),
         api_kind,
         engine,
         broker=broker,
         source_topic=INPUT_TOPIC,
         end_offset=0,
-        sink_topic=f"out-{setup.slug()}",
+        sink_topic="out",
         parallelism=args.parallelism,
     )
     sys.stdout.write(plan_to_text(job.plan))
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
         if unknown:
             raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, CorpusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

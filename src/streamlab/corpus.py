@@ -74,6 +74,8 @@ class CorpusSpec:
             raise ValueError("n_records must be positive")
         if not self.grep_needle:
             raise ValueError("grep_needle must be non-empty")
+        if "\t" in self.grep_needle or "\n" in self.grep_needle:
+            raise ValueError("grep_needle must not contain tabs or newlines")
         if self.grep_match_count is not None and self.grep_match_count < 0:
             raise ValueError("grep_match_count must be non-negative")
         if self.resolved_match_count() > self.n_records:
@@ -200,8 +202,6 @@ def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
 @dataclass(frozen=True)
 class IngestSummary:
     count: int
-    first_ts: int | None
-    last_ts: int | None
 
 
 def send(
@@ -220,8 +220,4 @@ def send(
     for record in records:
         append(0, serialize_record(record))
 
-    count = topic.high_water_mark(0)
-    if count == 0:
-        return IngestSummary(0, None, None)
-    first_ts, last_ts = topic.boundary_timestamps(0)
-    return IngestSummary(count, first_ts, last_ts)
+    return IngestSummary(topic.high_water_mark(0))

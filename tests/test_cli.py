@@ -154,6 +154,14 @@ def test_repeated_list_value_is_a_config_error(key, source, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("needle", ["x\ty", "x\ny", "2"])
+def test_unusable_grep_needle_is_a_config_error(needle, tmp_path, capsys):
+    # a tab or newline would split a record; "2" is in every query time,
+    # so no needle-free record can be drawn
+    assert run_cli("bench", *tiny_args(tmp_path), "--corpus-grep-needle", needle) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_invalid_engine_value_rejected(tmp_path):
     assert run_cli("bench", *tiny_args(tmp_path), "--engines", "turbo") == 1
 

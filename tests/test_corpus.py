@@ -174,6 +174,8 @@ class TestGeneration:
             CorpusSpec(n_records=5, grep_match_count=-1)
         with pytest.raises(ValueError):
             CorpusSpec(n_records=5, grep_needle="")
+        with pytest.raises(ValueError):
+            CorpusSpec(n_records=5, grep_needle="a\tb")
 
 
 class TestSend:

@@ -1,12 +1,11 @@
-import queue
+import sys
 import threading
-import time
 from collections import Counter
 
 import pytest
 
 from streamlab import tuple_engine
-from streamlab.broker import TopicConfig
+from streamlab.broker import Topic, TopicConfig
 from streamlab.topology import OperatorFailure, TopologyError
 from streamlab.tuple_engine import TupleEngine
 
@@ -62,6 +61,27 @@ def test_p2_identity_multiset_preserved(ingested_broker, engine, default_payload
     report = engine.execute(topo, parallelism=2)
     assert report.records_in == len(default_payloads)
     assert report.lanes == 2
+    assert Counter(read_all(ingested_broker, out)) == Counter(default_payloads)
+
+
+def test_no_lane_loses_an_update_under_fast_switching(
+    ingested_broker, engine, default_payloads, run_with_timeout
+):
+    # more lanes than cores, with the interpreter switching threads
+    # every 10 us instead of every 5 ms
+    n = len(default_payloads)
+    out = out_topic(ingested_broker)
+    topo = engine.build("input", n).map(lambda v: v, name="head").sink_write(out).build()
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        finished, raised = run_with_timeout(lambda: reports.append(engine.execute(topo, 4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert finished and raised is None
+    (report,) = reports
+    assert report.records_out == report.operator_invocations["head"] == n
     assert Counter(read_all(ingested_broker, out)) == Counter(default_payloads)
 
 
@@ -138,8 +158,9 @@ def test_empty_source_range(ingested_broker, engine):
 def test_failing_source_read_ends_every_lane(
     ingested_broker, engine, failing_read, run_with_timeout
 ):
-    # the first read returns one chunk, so the lanes are busy when the
-    # second read fails
+    # each lane reads the source itself, and only the first read of all
+    # returns a chunk: one lane fails on its first read, and the other
+    # stops or fails before its second chunk
     topo = engine.build("input", 3000).sink_write(out_topic(ingested_broker)).build()
     finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
     assert finished
@@ -173,53 +194,47 @@ def test_lane_k_gets_exactly_the_offsets_k_mod_p(
     assert by_lane == {f"tuple-lane-{k}": list(range(k, n, p)) for k in range(p)}
 
 
-def test_a_slow_lane_holds_the_reader_back(
-    ingested_broker, engine, default_payloads, monkeypatch
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_lane_reads_the_source_range_itself(
+    ingested_broker, engine, monkeypatch, p
 ):
-    backlogs = []  # payloads queued in a lane's queue, after each put
-    real_put = queue.Queue.put
+    real_read = Topic.read_payloads
+    reads = []  # (thread, offset, count)
 
-    def put(self, item, block=True, timeout=None):
-        real_put(self, item, block, timeout)
-        with self.mutex:
-            backlogs.append(sum(len(s[1]) for s in self.queue if s is not None))
+    def read(self, partition, from_offset, max_count):
+        payloads = real_read(self, partition, from_offset, max_count)
+        reads.append((threading.current_thread().name, from_offset, len(payloads)))
+        return payloads
 
-    monkeypatch.setattr(queue.Queue, "put", put)
-
-    def slow_on_lane_0(v):
-        if threading.current_thread().name == "tuple-lane-0":
-            time.sleep(0.0001)
-        return v
-
-    n = len(default_payloads)
-    topo = (
-        engine.build("input", n).map(slow_on_lane_0)
-        .sink_write(out_topic(ingested_broker)).build()
-    )
-    assert engine.execute(topo, parallelism=2).records_out == n
-    # a lane's queue holds at most two slices of ceil(chunk / p) payloads
-    slice_len = -(-tuple_engine._READ_CHUNK // 2)
-    assert 0 < max(backlogs) <= 2 * slice_len
+    monkeypatch.setattr(Topic, "read_payloads", read)
+    n = 2503
+    topo = engine.build("input", n).sink_write(out_topic(ingested_broker)).build()
+    assert engine.execute(topo, parallelism=p).records_out == n
+    by_thread = {}
+    for thread, offset, size in reads:
+        by_thread.setdefault(thread, []).append((offset, size))
+    assert set(by_thread) == {f"tuple-lane-{k}" for k in range(p)}  # none by MainThread
+    for lane_reads in by_thread.values():
+        offsets = [offset for offset, _ in lane_reads]
+        sizes = [size for _, size in lane_reads]
+        assert offsets == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == n
+        assert max(sizes) <= tuple_engine._READ_CHUNK
 
 
-def test_lane_failing_while_the_reader_waits_on_it(
-    ingested_broker, engine, monkeypatch, run_with_timeout
+def test_a_failing_lane_stops_the_others_before_their_next_chunk(
+    ingested_broker, engine, run_with_timeout
 ):
-    reader_waits = threading.Event()
-    real_put = queue.Queue.put
-
-    def put(self, item, block=True, timeout=None):
-        # lane 0's slices start at even offsets
-        if item is not None and item[0] % 2 == 0 and self.full():
-            reader_waits.set()
-        real_put(self, item, block, timeout)
-
-    monkeypatch.setattr(queue.Queue, "put", put)
+    lane_0_failed = threading.Event()
+    lane_1_calls = []
 
     def fail_on_lane_0(v):
         if threading.current_thread().name == "tuple-lane-0":
-            reader_waits.wait(5)
+            lane_0_failed.set()
             raise ValueError("lane 0 failed")
+        # lane 1 starts its first slice only once lane 0 is failing
+        lane_0_failed.wait(5)
+        lane_1_calls.append(v)
         return v
 
     topo = (
@@ -228,6 +243,9 @@ def test_lane_failing_while_the_reader_waits_on_it(
     )
     finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
     assert finished
-    assert reader_waits.is_set()
+    assert lane_0_failed.is_set()
     assert isinstance(raised, OperatorFailure)
     assert (raised.node, raised.index) == ("exploder", 0)
+    # lane 1 ends the slice it holds, and at most one more
+    slice_len = -(-tuple_engine._READ_CHUNK // 2)
+    assert len(lane_1_calls) <= 2 * slice_len
