@@ -106,16 +106,19 @@ class Topic:
         keep their order."""
         if partition != 0:
             self._check_partition(partition)
-        payload = bytes(payload)
-        with self._lock:
-            # clock_ms() inline: one call fewer per record.
-            ts = (_monotonic_ns() - _EPOCH_NS) // 1_000_000
+        if type(payload) is not bytes:  # bytes(b) is b for exact bytes
+            payload = bytes(payload)
+        self._lock.acquire()
+        try:
+            ts = (_monotonic_ns() - _EPOCH_NS) // 1_000_000  # clock_ms(), inline
             offset = len(self._payloads)
             # timestamp first: readers key on len(_payloads), so the
             # timestamp for any visible offset is always present.
             self._timestamps.append(ts)
             self._payloads.append(payload)
-            return offset, ts
+        finally:
+            self._lock.release()
+        return offset, ts
 
     def _read_end(self, partition: int, from_offset: int, max_count: int) -> int:
         """Check a read's arguments; return the offset after its last entry."""

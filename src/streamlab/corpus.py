@@ -10,9 +10,11 @@ Mersenne-Twister stream (`random.Random`) in a fixed draw order: the
 match rows through `sample`, the click coin through `random`, and
 every other field through `getrandbits`. The corpus digests pinned in
 the tests guard that stream and order; moving one draw changes every
-record after it and fails them. `iter_corpus` yields the records one
-at a time, so the sender can append a corpus of any size without
-holding it; `generate_corpus` is the same records as a list.
+record after it and fails them. The payloads are the canonical form:
+`iter_payloads` formats each line once as bytes, tests the needle on
+it and yields it, so the sender appends a corpus of any size without
+holding it or building a record; `generate_corpus` parses the same
+payloads into validated `SearchLogRecord`s.
 """
 
 from __future__ import annotations
@@ -125,35 +127,31 @@ _VOCABULARY = (
 
 _TIME_BASE = datetime(2006, 3, 1)
 _TIME_SPAN_SECONDS = 90 * 24 * 3600
-# "YYYY-MM-DD " for each day of the span, so a query time is a table
+# b"YYYY-MM-DD " for each day of the span, so a query time is a table
 # lookup plus divmod instead of datetime arithmetic and strftime.
 _DAY_PREFIXES = tuple(
-    (_TIME_BASE + timedelta(days=d)).strftime("%Y-%m-%d ")
+    (_TIME_BASE + timedelta(days=d)).strftime("%Y-%m-%d ").encode()
     for d in range(_TIME_SPAN_SECONDS // 86400)
 )
 
 _MAX_DRAW_ATTEMPTS = 100
 
 
-def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
-    """Yield exactly spec.n_records records, one at a time, exactly
-    resolved_match_count of which contain the needle (in query_text);
-    the serialized form of every other record is needle-free.
-
-    Deterministic: the records are a pure function of the spec, and
-    only the set of match rows is held while they are drawn.
-    """
+def iter_payloads(spec: CorpusSpec) -> Iterator[bytes]:
+    """Yield exactly spec.n_records serialized records, one at a time,
+    exactly resolved_match_count of which contain the needle (in the
+    query text); every other payload is needle-free. The payloads are a
+    pure function of the spec; only the set of match rows is held."""
     rng = random.Random(spec.rng_seed)
     needle = spec.grep_needle
     needle_bytes = needle.encode("utf-8")
-    words = tuple(w for w in _VOCABULARY if needle not in w)
+    words = tuple(w.encode() for w in _VOCABULARY if needle not in w)
     if not words:
         raise CorpusError(f"needle {needle!r} occurs in every vocabulary word")
     n_words = len(words)
 
     match_rows = set(rng.sample(range(spec.n_records), spec.resolved_match_count()))
-    getrandbits = rng.getrandbits
-    uniform = rng.random
+    getrandbits, uniform = rng.getrandbits, rng.random
 
     # CPython's Random._randbelow_with_getrandbits, to which randint,
     # randrange and choice all reduce: drawing through it directly
@@ -173,30 +171,30 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[SearchLogRecord]:
             # then rank and URL (clicked rows).
             tokens = [words[below(n_words)] for _ in range(1 + below(4))]
             if is_match:
-                tokens.insert(below(len(tokens) + 1), needle)
+                tokens.insert(below(len(tokens) + 1), needle_bytes)
             day, second = divmod(below(_TIME_SPAN_SECONDS), 86400)
             hour, second = divmod(second, 3600)
             minute, second = divmod(second, 60)
-            clicked = uniform() < 0.5
-            record = SearchLogRecord(
-                user_id=str(100 + below(24_999_900)),
-                query_text=" ".join(tokens),
-                query_time="%s%02d:%02d:%02d" % (_DAY_PREFIXES[day], hour, minute, second),
-                click_rank=1 + below(10) if clicked else None,
-                click_url=f"www.{words[below(n_words)]}.com" if clicked else None,
-            )
-            if (needle_bytes in serialize_record(record)) == is_match:
+            query, when = b" ".join(tokens), _DAY_PREFIXES[day]
+            if uniform() < 0.5:  # clicked: user id, then rank and URL
+                payload = b"%d\t%s\t%s%02d:%02d:%02d\t%d\twww.%s.com" % (
+                    100 + below(24_999_900), query, when, hour, minute, second,
+                    1 + below(10), words[below(n_words)])
+            else:
+                payload = b"%d\t%s\t%s%02d:%02d:%02d\t\t" % (
+                    100 + below(24_999_900), query, when, hour, minute, second)
+            if (needle_bytes in payload) == is_match:
                 break
         else:
             raise CorpusError(
                 f"could not generate a needle-free record for needle {needle!r}"
             )
-        yield record
+        yield payload
 
 
 def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
-    """The records of iter_corpus(spec), as a list."""
-    return list(iter_corpus(spec))
+    """The payloads of iter_payloads(spec), parsed into records."""
+    return [parse_record(p) for p in iter_payloads(spec)]
 
 
 @dataclass(frozen=True)
@@ -205,19 +203,17 @@ class IngestSummary:
 
 
 def send(
-    records: Iterable[SearchLogRecord],
+    payloads: Iterable[bytes],
     broker: LogBroker,
     topic_name: str,
 ) -> IngestSummary:
-    """Append all records to partition 0 of an existing, empty topic,
-    in corpus order. Each record is serialized and appended as it is
-    taken from records, so a generator is sent without being held."""
+    """Append all payloads to partition 0 of an existing, empty topic,
+    in order. Each payload is appended as it is taken from payloads,
+    so a generator is sent without being held."""
     topic = broker.topic(topic_name)
     if topic.high_water_mark(0) != 0:
         raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")
-
     append = topic.append
-    for record in records:
-        append(0, serialize_record(record))
-
+    for payload in payloads:
+        append(0, payload)
     return IngestSummary(topic.high_water_mark(0))

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .broker import LogBroker, TopicConfig, clock_ms
-from .corpus import CorpusSpec, IngestSummary, iter_corpus, send
-# Not called here since ingest streams the corpus; the benchmark's
-# tracer still wraps harness.generate_corpus by name.
-from .corpus import generate_corpus  # noqa: F401
+# generate_corpus is not called here; the benchmark's tracer wraps it by name.
+from .corpus import CorpusSpec, IngestSummary, generate_corpus, iter_payloads, send  # noqa: F401
 from .microbatch import BatchPolicy
 from .plan import ExecutionPlan, plan_to_text
 from .queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
@@ -199,11 +197,11 @@ class SlowdownReport:
 
 def phase_ingest(config: BenchmarkConfig, broker: LogBroker) -> IngestSummary:
     """Generate the corpus and append it, in order, to the input topic.
-    Records are appended as they are generated, so the record list is
-    never held."""
+    Each payload is appended as it is generated, with no record built
+    for it, so the corpus is never held."""
     if not broker.has_topic(INPUT_TOPIC):
         broker.create_topic(TopicConfig(INPUT_TOPIC, partitions=1))
-    return send(iter_corpus(config.corpus_spec), broker, INPUT_TOPIC)
+    return send(iter_payloads(config.corpus_spec), broker, INPUT_TOPIC)
 
 
 def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcome:
@@ -222,11 +220,11 @@ def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcom
     failures: list[SetupFailure] = []
     plans: dict[str, ExecutionPlan] = {}
     for setup in config.setups():
-        spec = config.query_spec(setup.query)
+        spec, slug = config.query_spec(setup.query), setup.slug()
         run_labels = [f"warm{i}" for i in range(config.warmup)]
         run_labels += [str(i) for i in range(config.runs_per_setup)]
         for label in run_labels:
-            out_topic = f"out-{setup.slug()}-{label}"
+            out_topic = f"out-{slug}-{label}"
             broker.create_topic(TopicConfig(out_topic, partitions=1))
             job = build_query(
                 spec,
@@ -239,7 +237,8 @@ def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcom
                 parallelism=setup.parallelism,
                 batch_policy=config.batch_policy,
             )
-            plans.setdefault(setup.slug(), job.plan)
+            if slug not in plans:
+                plans[slug] = job.plan
             try:
                 report = job.execute()
                 exec_time = compute_execution_time(broker, out_topic)

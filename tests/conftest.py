@@ -86,9 +86,9 @@ def default_payloads(default_records):
 
 
 @pytest.fixture
-def ingested_broker(default_records):
+def ingested_broker(default_payloads):
     broker = LogBroker()
     broker.create_topic(TopicConfig("input"))
-    send(default_records, broker, "input")
+    send(default_payloads, broker, "input")
     yield broker
     verify_broker_coherence(broker)

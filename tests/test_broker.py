@@ -110,6 +110,28 @@ def test_payload_round_trip_and_immutability(broker):
     assert entry.payload == b"mutate me"
 
 
+@pytest.mark.parametrize("make", [
+    lambda buf: memoryview(buf),
+    lambda buf: type("Payload", (bytes,), {})(buf),
+], ids=["memoryview", "bytes-subclass"])
+def test_append_stores_an_exact_bytes_copy(broker, make):
+    topic = broker.create_topic(TopicConfig("t"))
+    buf = bytearray(b"mutate me")
+    topic.append(0, make(buf))
+    buf[0:6] = b"MUTATE"
+    [payload] = topic.read_payloads(0, 0, 1)
+    assert type(payload) is bytes
+    assert payload == b"mutate me"
+
+
+def test_append_stores_exact_bytes_as_is(broker):
+    topic = broker.create_topic(TopicConfig("t"))
+    payload = b"stored as is"
+    topic.append(0, payload)
+    assert topic.read_payloads(0, 0, 1)[0] is payload
+    assert topic.read(0, 0, 1)[0].payload is payload
+
+
 def test_read_basics(broker):
     topic = broker.create_topic(TopicConfig("t"))
     for i in range(3):

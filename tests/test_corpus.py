@@ -12,19 +12,23 @@ from streamlab.corpus import (
     SearchLogRecord,
     TopicNotEmptyError,
     generate_corpus,
-    iter_corpus,
+    iter_payloads,
     parse_record,
     send,
     serialize_record,
 )
 
 
-def corpus_digest(records):
+def payload_digest(payloads):
     h = hashlib.sha256()
-    for r in records:
-        h.update(serialize_record(r))
+    for p in payloads:
+        h.update(p)
         h.update(b"\n")
     return h.hexdigest()
+
+
+def corpus_digest(records):
+    return payload_digest(map(serialize_record, records))
 
 
 class TestSerialization:
@@ -130,7 +134,7 @@ class TestGeneration:
          "bc635d6c09fe81500a6f510841dac8ff5b843f18ce05fdeef720343afbaf2516"),
     ], ids=["seed901-50001", "default-10001", "flowers-400", "redraw-99-2000"])
     def test_pinned_corpus_digest(self, spec, digest):
-        assert corpus_digest(iter_corpus(spec)) == digest
+        assert payload_digest(iter_payloads(spec)) == digest
 
     def test_different_seed_changes_corpus(self):
         a = generate_corpus(CorpusSpec(n_records=500, rng_seed=1))
@@ -179,10 +183,10 @@ class TestGeneration:
 
 
 class TestSend:
-    def test_send_preserves_order_and_count(self, default_records):
+    def test_send_preserves_order_and_count(self, default_records, default_payloads):
         broker = LogBroker()
         broker.create_topic(TopicConfig("input"))
-        summary = send(default_records, broker, "input")
+        summary = send(default_payloads, broker, "input")
         assert summary.count == len(default_records)
         topic = broker.topic("input")
         assert topic.high_water_mark(0) == len(default_records)
@@ -190,10 +194,10 @@ class TestSend:
         for i, entry in enumerate(entries):
             assert entry.payload == serialize_record(default_records[i])
 
-    def test_send_to_non_empty_topic(self, default_records):
+    def test_send_to_non_empty_topic(self, default_payloads):
         broker = LogBroker()
         broker.create_topic(TopicConfig("input"))
         broker.topic("input").append(0, b"already here")
         with pytest.raises(TopicNotEmptyError):
-            send(default_records, broker, "input")
+            send(default_payloads, broker, "input")
 

@@ -4,10 +4,12 @@ import tracemalloc
 
 import pytest
 
+from streamlab import corpus
 from streamlab.broker import LogBroker, TopicConfig
 from streamlab.corpus import (
     CorpusError,
     CorpusSpec,
+    SearchLogRecord,
     TopicNotEmptyError,
     generate_corpus,
     serialize_record,
@@ -31,6 +33,7 @@ from streamlab.harness import (
     write_results_csv,
 )
 from streamlab.queries import ApiKind, EngineKind, QueryKind
+from streamlab.topology import Engine
 from streamlab.tuple_engine import TupleEngine
 
 # Ten measured execution times (seconds) for one engine's identity
@@ -235,6 +238,23 @@ class TestPhases:
         assert len(outcome.results) == 8
         assert set(outcome.plans) == {s.slug() for s in config.setups()}
 
+    def test_each_setup_plan_is_built_once(self, monkeypatch):
+        config = tiny_config(runs_per_setup=3, warmup=1)
+        broker = LogBroker()
+        phase_ingest(config, broker)
+        real_plan = Engine.plan
+        planned = []
+
+        def plan(self, topology, parallelism=1):
+            planned.append(parallelism)
+            return real_plan(self, topology, parallelism)
+
+        monkeypatch.setattr(Engine, "plan", plan)
+        outcome = phase_execute(config, broker)
+        assert outcome.failures == []
+        assert len(outcome.results) == 12
+        assert len(planned) == len(config.setups()) == len(outcome.plans)
+
     def test_execute_requires_ingest(self):
         config = tiny_config()
         broker = LogBroker()
@@ -365,6 +385,28 @@ class TestIngest:
         assert broker.topic(INPUT_TOPIC).read_payloads(0, 0, 3000) == [
             serialize_record(r) for r in generate_corpus(spec)
         ]
+
+    def test_ingest_builds_no_record_and_serializes_nothing(self, monkeypatch):
+        # The "99" spec runs the redraw loop, so rejected drafts count too.
+        spec = CorpusSpec(2_000, grep_needle="99", grep_match_count=7, rng_seed=11)
+        expected = [serialize_record(r) for r in generate_corpus(spec)]
+        calls = {"record": 0, "serialize": 0}
+        real_post_init = SearchLogRecord.__post_init__
+
+        def post_init(self):
+            calls["record"] += 1
+            real_post_init(self)
+
+        def serialize(record):
+            calls["serialize"] += 1
+            return serialize_record(record)
+
+        monkeypatch.setattr(SearchLogRecord, "__post_init__", post_init)
+        monkeypatch.setattr(corpus, "serialize_record", serialize)
+        broker = LogBroker()
+        phase_ingest(tiny_config(corpus_spec=spec), broker)
+        assert calls == {"record": 0, "serialize": 0}
+        assert broker.topic(INPUT_TOPIC).read_payloads(0, 0, 3000) == expected
 
     def test_needle_in_every_record_raises(self):
         # every query_time holds a "2", so no record can be needle-free

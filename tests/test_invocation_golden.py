@@ -15,7 +15,7 @@ To regenerate the file after an intended change of the counts:
 from pathlib import Path
 
 from streamlab.broker import LogBroker, TopicConfig
-from streamlab.corpus import CorpusSpec, generate_corpus, send
+from streamlab.corpus import CorpusSpec, iter_payloads, send
 from streamlab.queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
 
 GOLDEN = Path(__file__).with_name("golden_invocations.txt")
@@ -27,7 +27,7 @@ PARALLELISMS = (1, 2)
 def render_invocations() -> str:
     broker = LogBroker()
     broker.create_topic(TopicConfig("input"))
-    send(generate_corpus(CORPUS), broker, "input")
+    send(iter_payloads(CORPUS), broker, "input")
     lines = []
     for query in QueryKind:
         for api_kind in ApiKind:

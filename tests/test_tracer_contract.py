@@ -15,7 +15,7 @@ import pytest
 
 from streamlab import microbatch, tuple_engine, unified
 from streamlab.broker import LogBroker, TopicConfig
-from streamlab.corpus import CorpusSpec, generate_corpus, send
+from streamlab.corpus import CorpusSpec, iter_payloads, send
 from streamlab.queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
 
 CORPUS = CorpusSpec(n_records=2503, grep_match_count=17)
@@ -26,7 +26,7 @@ CODEC_CALLS_PER_RECORD = {ApiKind.NATIVE: 0, ApiKind.UNIFIED: 4}
 def broker():
     broker = LogBroker()
     broker.create_topic(TopicConfig("input"))
-    send(generate_corpus(CORPUS), broker, "input")
+    send(iter_payloads(CORPUS), broker, "input")
     return broker
 
 
