@@ -110,10 +110,8 @@ def test_payload_round_trip_and_immutability(broker):
     assert entry.payload == b"mutate me"
 
 
-@pytest.mark.parametrize("make", [
-    lambda buf: memoryview(buf),
-    lambda buf: type("Payload", (bytes,), {})(buf),
-], ids=["memoryview", "bytes-subclass"])
+@pytest.mark.parametrize("make", [memoryview, type("Payload", (bytes,), {})],
+                         ids=["memoryview", "bytes-subclass"])
 def test_append_stores_an_exact_bytes_copy(broker, make):
     topic = broker.create_topic(TopicConfig("t"))
     buf = bytearray(b"mutate me")
