@@ -137,8 +137,11 @@ class RunResult:
     run_index: int
     exec_time_ms: int
     records_out: int
-    operator_invocations: dict[str, int]
-    flagged_degenerate: bool = False
+
+    @property
+    def flagged_degenerate(self) -> bool:
+        """One output: the run's execution time is 0 by definition."""
+        return self.records_out == 1
 
 
 @dataclass(frozen=True)
@@ -257,8 +260,6 @@ def phase_execute(config: BenchmarkConfig, broker: LogBroker) -> ExecutionOutcom
                     run_index=int(label),
                     exec_time_ms=exec_time,
                     records_out=report.records_out,
-                    operator_invocations=report.operator_invocations,
-                    flagged_degenerate=report.records_out == 1,
                 )
             )
     return ExecutionOutcome(results, failures, plans)
@@ -365,6 +366,9 @@ def build_slowdown_report(
         "clock_now_ms": clock_ms(),
         "stddev_kind": "population",
         "undefined_slowdowns": undefined,
+        "degenerate_runs": [
+            f"{r.setup.slug()} run {r.run_index}" for r in results if r.flagged_degenerate
+        ],
     }
     return SlowdownReport(slowdowns, stats, deviations, metadata)
 
@@ -407,7 +411,6 @@ def read_results_csv(path: Path) -> list[RunResult]:
                     run_index=int(row["run_index"]),
                     exec_time_ms=int(row["exec_time_ms"]),
                     records_out=int(row["records_out"]),
-                    operator_invocations={},
                 ))
             except (ValueError, TypeError) as exc:
                 raise HarnessError(f"bad row on line {reader.line_num}: {exc}") from exc

@@ -40,16 +40,16 @@ class EngineKind(enum.Enum):
     MICROBATCH = "microbatch"
 
 
+SAMPLE_PROBABILITY = 0.4
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     kind: QueryKind
-    sample_probability: float = 0.4
     grep_needle: str = "test"
     rng_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not 0 < self.sample_probability <= 1:
-            raise ValueError("sample_probability must be in (0, 1]")
         if not self.grep_needle:
             raise ValueError("grep_needle must be non-empty")
 
@@ -107,7 +107,7 @@ def build_query(
 
 
 def _sample_pred(spec: QuerySpec):
-    probability, seed = spec.sample_probability, spec.rng_seed
+    probability, seed = SAMPLE_PROBABILITY, spec.rng_seed
 
     def pred(payload: bytes, index: int) -> bool:
         return sample_uniform(seed, index) < probability
@@ -142,7 +142,7 @@ def build_unified_pipeline(
 ) -> Pipeline:
     pardos: tuple[ParDo, ...] = ()
     if spec.kind is QueryKind.SAMPLE:
-        probability, seed = spec.sample_probability, spec.rng_seed
+        probability, seed = SAMPLE_PROBABILITY, spec.rng_seed
         pardos = (ParDo(
             "sample",
             lambda payload, index: sample_fn(payload, index, probability, seed),

@@ -2,18 +2,18 @@
 
 Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
-sink. `read_chunks` is the one place where either engine reads its
-source: it yields (start offset, payloads) chunks from
-`Topic.read_payloads`, so no per-record log entry is built. Chained
-operators run fused: each element makes one pass through the whole
-chain with one function call per operator and no inter-operator
-queueing; `run_chain` calls a node once per value entering it, and
-when that is one value it skips the nested comprehension. `drain` is
-the one loop both engines use to push elements through a chain into
-the sink. Every node is called fn(payload, source_index) and returns an
-iterable of outputs; the builder adapts each user function to that
-once. The sink is always the last node of `Topology.operators`, with fn
-None.
+sink. Both engines share one path: `read_chunks` reads the source as
+(start offset, payloads) chunks from `Topic.read_payloads`, building no
+per-record log entry; `lane_items` gives lane or partition k of p the
+offsets of a chunk that are k mod p; `drain` pushes those through the
+fused chain into the sink; and `job_report` sums the per-lane counts.
+In the fused chain each element makes one pass with one function call
+per operator and no inter-operator queueing; `run_chain` calls a node
+once per value entering it, and when that is one value it skips the
+nested comprehension. Every node is called fn(payload, source_index)
+and returns an iterable of outputs; the builder adapts each user
+function to that once. The sink is always the last node of
+`Topology.operators`, with fn None.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class JobReport:
     records_in: int
     records_out: int
     operator_invocations: dict[str, int]
-    lanes: int
     batches: int | None = None
     batch_sink_bounds: list[tuple[int, int]] | None = None
 
@@ -210,6 +209,13 @@ def read_chunks(source, end_offset: int, size: int):
         offset += len(payloads)
 
 
+def lane_items(start: int, payloads: list[bytes], k: int, p: int):
+    """The (offset, payload) items of the chunk payloads, read from offset
+    start, whose offsets are k mod p: what lane or partition k of p gets."""
+    j = (k - start) % p
+    return zip(range(start + j, start + len(payloads), p), payloads[j::p])
+
+
 def run_chain(
     operators: tuple[OperatorSpec, ...],
     index: int,
@@ -253,18 +259,19 @@ def drain(run, operators, items, sink, invocations) -> int:
 
 
 def job_report(
-    topology: Topology, records_out: int, invocations: dict[str, int], lanes: int,
+    topology: Topology, records_out: int, lane_invocations: list[dict[str, int]],
     batches: int | None = None, batch_sink_bounds: list[tuple[int, int]] | None = None,
 ) -> JobReport:
-    """The report of a completed run; every node of the chain appears,
-    with a zero count if no element reached it."""
-    for op in topology.operators:
-        invocations.setdefault(op.name, 0)
+    """The report of a completed run: each node's count summed over the
+    lanes or partitions, with a zero for a node no element reached."""
+    invocations = dict.fromkeys((op.name for op in topology.operators), 0)
+    for counts in lane_invocations:
+        for name, calls in counts.items():
+            invocations[name] += calls
     return JobReport(
         records_in=topology.end_offset,
         records_out=records_out,
-        operator_invocations=dict(invocations),
-        lanes=lanes,
+        operator_invocations=invocations,
         batches=batches,
         batch_sink_bounds=batch_sink_bounds,
     )

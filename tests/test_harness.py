@@ -134,7 +134,7 @@ class TestSlowdownFactor:
 def results_from_times(times, parallelism, api=ApiKind.NATIVE):
     setup = Setup(EngineKind.TUPLE, api, QueryKind.IDENTITY, parallelism)
     return [
-        RunResult(setup, i, int(t * 1000), 10001, {})
+        RunResult(setup, i, int(t * 1000), 10001)
         for i, t in enumerate(times)
     ]
 
@@ -496,6 +496,17 @@ class TestEmitReport:
         parsed = read_results_csv(path)
         write_results_csv(parsed, path)
         assert path.read_bytes() == first
+
+    def test_degenerate_run_flag_survives_results_csv(self, tmp_path):
+        setup = Setup(EngineKind.TUPLE, ApiKind.NATIVE, QueryKind.GREP, 2)
+        path = tmp_path / "results.csv"
+        write_results_csv([RunResult(setup, 0, 0, 1), RunResult(setup, 1, 4, 2)], path)
+        parsed = read_results_csv(path)
+        assert [r.flagged_degenerate for r in parsed] == [True, False]
+        report = build_slowdown_report(tiny_config(), parsed)
+        assert report.metadata["degenerate_runs"] == ["tuple-native-grep-p2 run 0"]
+        emit_report(report, parsed, tmp_path / "out")
+        assert "tuple-native-grep-p2 run 0" in (tmp_path / "out" / "report.md").read_text()
 
 
 class TestDumpPlan:

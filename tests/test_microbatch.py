@@ -1,4 +1,5 @@
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -169,6 +170,43 @@ def test_batch_accounting_at_the_edges(
     assert report.batches == batches
     assert report.batch_sink_bounds == bounds
     assert report.records_out == end_offset
+
+
+def test_partition_k_of_each_batch_gets_the_offsets_k_mod_p(
+    ingested_broker, default_payloads, monkeypatch
+):
+    # 1001-record batches start at offsets 0, 1001 and 2002, which are 0,
+    # 2 and 1 mod 3, so each batch starts partition 0 at a different
+    # position within it
+    parts = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, run, operators, items, *rest):
+            parts.append(list(items))
+            return super().submit(fn, run, operators, items, *rest)
+
+    monkeypatch.setattr(microbatch, "ThreadPoolExecutor", RecordingPool)
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(1001))
+    n, p = 2503, 3
+    topo = engine.build("input", n).sink_write(out_topic(ingested_broker)).build()
+    report = engine.execute(topo, parallelism=p)
+    assert report.records_out == n
+    assert len(parts) == report.batches * p == 9
+    for k, part in enumerate(parts):
+        assert all(i % p == k % p and v == default_payloads[i] for i, v in part)
+    assert sorted(i for part in parts for i, _ in part) == list(range(n))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+def test_empty_range_reports_every_node_at_zero(ingested_broker, engine_cls, p):
+    engine = engine_cls(ingested_broker)
+    topo = (
+        engine.build("input", 0).map(lambda v: v, name="m")
+        .sink_write(out_topic(ingested_broker)).build()
+    )
+    report = engine.execute(topo, parallelism=p)
+    assert report.operator_invocations == {"m": 0, "sink": 0}
 
 
 def test_single_element_batches_skip_empty_partitions(

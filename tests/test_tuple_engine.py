@@ -60,7 +60,6 @@ def test_p2_identity_multiset_preserved(ingested_broker, engine, default_payload
     topo = engine.build("input", len(default_payloads)).sink_write(out).build()
     report = engine.execute(topo, parallelism=2)
     assert report.records_in == len(default_payloads)
-    assert report.lanes == 2
     assert Counter(read_all(ingested_broker, out)) == Counter(default_payloads)
 
 
@@ -153,6 +152,29 @@ def test_empty_source_range(ingested_broker, engine):
     report = engine.execute(topo, parallelism=1)
     assert report.records_in == 0
     assert report.records_out == 0
+
+
+def test_p1_reads_on_the_calling_thread_and_starts_no_thread(
+    ingested_broker, engine, monkeypatch
+):
+    real_read = Topic.read_payloads
+    real_start = threading.Thread.start
+    readers, started = set(), []
+
+    def read(self, partition, from_offset, max_count):
+        readers.add(threading.current_thread())
+        return real_read(self, partition, from_offset, max_count)
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(Topic, "read_payloads", read)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    topo = engine.build("input", 2503).sink_write(out_topic(ingested_broker)).build()
+    assert engine.execute(topo, parallelism=1).records_out == 2503
+    assert readers == {threading.current_thread()}
+    assert started == []
 
 
 def test_failing_source_read_ends_every_lane(
