@@ -197,23 +197,19 @@ def generate_corpus(spec: CorpusSpec) -> list[SearchLogRecord]:
     return [parse_record(p) for p in iter_payloads(spec)]
 
 
-@dataclass(frozen=True)
-class IngestSummary:
-    count: int
-
-
 def send(
     payloads: Iterable[bytes],
     broker: LogBroker,
     topic_name: str,
-) -> IngestSummary:
+) -> int:
     """Append all payloads to partition 0 of an existing, empty topic,
-    in order. Each payload is appended as it is taken from payloads,
-    so a generator is sent without being held."""
+    in order, and return how many were appended. Each payload is
+    appended as it is taken from payloads, so a generator is sent
+    without being held."""
     topic = broker.topic(topic_name)
     if topic.high_water_mark(0) != 0:
         raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")
     append = topic.append
     for payload in payloads:
         append(0, payload)
-    return IngestSummary(topic.high_water_mark(0))
+    return topic.high_water_mark(0)

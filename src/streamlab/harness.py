@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .broker import LogBroker, TopicConfig, clock_ms
 # generate_corpus is not called here; the benchmark's tracer wraps it by name.
-from .corpus import CorpusSpec, IngestSummary, generate_corpus, iter_payloads, send  # noqa: F401
+from .corpus import CorpusSpec, generate_corpus, iter_payloads, send  # noqa: F401
 from .microbatch import BatchPolicy
 from .plan import ExecutionPlan, plan_to_text
 from .queries import ApiKind, EngineKind, QueryKind, QuerySpec, build_query
@@ -198,10 +198,11 @@ class SlowdownReport:
 # ---------------------------------------------------------------------------
 # Phases.
 
-def phase_ingest(config: BenchmarkConfig, broker: LogBroker) -> IngestSummary:
-    """Generate the corpus and append it, in order, to the input topic.
-    Each payload is appended as it is generated, with no record built
-    for it, so the corpus is never held."""
+def phase_ingest(config: BenchmarkConfig, broker: LogBroker) -> int:
+    """Generate the corpus and append it, in order, to the input topic,
+    and return the number of records appended. Each payload is appended
+    as it is generated, with no record built for it, so the corpus is
+    never held."""
     if not broker.has_topic(INPUT_TOPIC):
         broker.create_topic(TopicConfig(INPUT_TOPIC, partitions=1))
     return send(iter_payloads(config.corpus_spec), broker, INPUT_TOPIC)
@@ -369,6 +370,7 @@ def build_slowdown_report(
         "degenerate_runs": [
             f"{r.setup.slug()} run {r.run_index}" for r in results if r.flagged_degenerate
         ],
+        "insufficient_runs": [s.setup.slug() for s in stats if s.insufficient_runs],
     }
     return SlowdownReport(slowdowns, stats, deviations, metadata)
 

@@ -7,12 +7,21 @@ keeps records containing a literal needle ("test" by default).
 Sample's randomness is indexed: the keep/drop decision for element i
 depends only on (seed, i), never on arrival order, so the emitted
 offset set is identical across engines, API kinds, and parallelisms.
+`sample_uniform` is the reference definition of that decision:
+element i is kept when `sample_uniform(seed, i) < probability`. Both
+API kinds decide through one kernel, `sample_kernel`, built per job
+when the query is built. It hashes the seeded prefix `b"sample:<seed>:"`
+once, and per element copies that SHA-256 state, adds the index and
+compares the digest with an exact 8-byte threshold: the smallest N
+with N / 2**64 >= probability. The decisions are bit-identical to the
+reference, float rounding at the edge included.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .broker import LogBroker
@@ -55,15 +64,47 @@ class QuerySpec:
 
 
 def sample_uniform(seed: int, index: int) -> float:
-    """i-th value of a counter-based seeded generator, uniform in [0, 1)."""
+    """i-th value of a counter-based seeded generator, uniform in [0, 1]
+    (1.0 only where the division rounds up). The reference definition of
+    the sample decision; jobs decide through sample_kernel."""
     digest = hashlib.sha256(b"sample:%d:%d" % (seed, index)).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def sample_fn(payload: bytes, index: int, probability: float, seed: int) -> list[bytes]:
-    if sample_uniform(seed, index) < probability:
-        return [payload]
-    return []
+def sample_threshold(probability: float) -> int:
+    """The smallest N in [0, 2**64] with N / 2**64 >= probability, found
+    by bisection on that predicate, so that for every 64-bit u,
+    u < N exactly when u / 2**64 < probability."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError(f"sample probability must be in [0, 1], got {probability!r}")
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= probability:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def sample_kernel(seed: int, probability: float) -> Callable[[int], bool]:
+    """keep(index), equal to sample_uniform(seed, index) < probability."""
+    # Fits in 8 bytes: (2**64 - 1) / 2**64 rounds to 1.0, so even
+    # probability 1.0 has a threshold below 2**64. A digest compares
+    # below these 8 bytes exactly when its first 8 bytes do.
+    threshold = sample_threshold(probability).to_bytes(8, "big")
+    copy = hashlib.sha256(b"sample:%d:" % seed).copy
+
+    def keep(index: int) -> bool:
+        state = copy()
+        state.update(b"%d" % index)
+        return state.digest() < threshold
+
+    return keep
+
+
+def sample_fn(payload: bytes, index: int, keep: Callable[[int], bool]) -> list[bytes]:
+    return [payload] if keep(index) else []
 
 
 def projection_fn(payload: bytes) -> bytes:
@@ -107,10 +148,10 @@ def build_query(
 
 
 def _sample_pred(spec: QuerySpec):
-    probability, seed = SAMPLE_PROBABILITY, spec.rng_seed
+    keep = sample_kernel(spec.rng_seed, SAMPLE_PROBABILITY)
 
     def pred(payload: bytes, index: int) -> bool:
-        return sample_uniform(seed, index) < probability
+        return keep(index)
 
     return pred
 
@@ -142,11 +183,9 @@ def build_unified_pipeline(
 ) -> Pipeline:
     pardos: tuple[ParDo, ...] = ()
     if spec.kind is QueryKind.SAMPLE:
-        probability, seed = SAMPLE_PROBABILITY, spec.rng_seed
+        keep = sample_kernel(spec.rng_seed, SAMPLE_PROBABILITY)
         pardos = (ParDo(
-            "sample",
-            lambda payload, index: sample_fn(payload, index, probability, seed),
-            with_index=True,
+            "sample", lambda payload, index: sample_fn(payload, index, keep), with_index=True,
         ),)
     elif spec.kind is QueryKind.PROJECTION:
         pardos = (ParDo("projection", lambda payload: [projection_fn(payload)]),)

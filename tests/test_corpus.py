@@ -186,8 +186,8 @@ class TestSend:
     def test_send_preserves_order_and_count(self, default_records, default_payloads):
         broker = LogBroker()
         broker.create_topic(TopicConfig("input"))
-        summary = send(default_payloads, broker, "input")
-        assert summary.count == len(default_records)
+        count = send(default_payloads, broker, "input")
+        assert count == len(default_records)
         topic = broker.topic("input")
         assert topic.high_water_mark(0) == len(default_records)
         entries = topic.read(0, 0, len(default_records))

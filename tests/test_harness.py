@@ -223,8 +223,8 @@ class TestPhases:
     def test_ingest_then_reingest_fails(self):
         config = tiny_config()
         broker = LogBroker()
-        summary = phase_ingest(config, broker)
-        assert summary.count == 501
+        count = phase_ingest(config, broker)
+        assert count == 501
         with pytest.raises(TopicNotEmptyError):
             phase_ingest(config, broker)
 
@@ -380,8 +380,8 @@ class TestIngest:
     def test_input_topic_holds_the_corpus_in_order(self):
         spec = CorpusSpec(n_records=2503)
         broker = LogBroker()
-        summary = phase_ingest(tiny_config(corpus_spec=spec), broker)
-        assert summary.count == 2503
+        count = phase_ingest(tiny_config(corpus_spec=spec), broker)
+        assert count == 2503
         assert broker.topic(INPUT_TOPIC).read_payloads(0, 0, 3000) == [
             serialize_record(r) for r in generate_corpus(spec)
         ]
@@ -507,6 +507,14 @@ class TestEmitReport:
         assert report.metadata["degenerate_runs"] == ["tuple-native-grep-p2 run 0"]
         emit_report(report, parsed, tmp_path / "out")
         assert "tuple-native-grep-p2 run 0" in (tmp_path / "out" / "report.md").read_text()
+
+    def test_single_run_setup_listed_in_report(self, tmp_path):
+        results = results_from_times([4.0], 1) + results_from_times([4.0, 5.0], 2)
+        report = build_slowdown_report(tiny_config(), results)
+        assert report.metadata["insufficient_runs"] == ["tuple-native-identity-p1"]
+        emit_report(report, results, tmp_path / "out")
+        listed = '"insufficient_runs": [\n    "tuple-native-identity-p1"\n  ]'
+        assert listed in (tmp_path / "out" / "report.md").read_text()
 
 
 class TestDumpPlan:

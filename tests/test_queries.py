@@ -20,6 +20,8 @@ from streamlab.queries import (
     grep_fn,
     projection_fn,
     sample_fn,
+    sample_kernel,
+    sample_threshold,
     sample_uniform,
 )
 from streamlab.topology import OperatorFailure
@@ -53,16 +55,44 @@ class TestQueryFunctions:
         assert grep_fn(b"abc", b"a.c") == []
 
     def test_sample_degenerate_probabilities(self):
-        kept_all = [sample_fn(b"x", i, 1.0, seed=9) for i in range(100)]
+        keep_all, keep_none = sample_kernel(9, 1.0), sample_kernel(9, 0.0)
+        kept_all = [sample_fn(b"x", i, keep_all) for i in range(100)]
         assert all(out == [b"x"] for out in kept_all)
-        kept_none = [sample_fn(b"x", i, 0.0, seed=9) for i in range(100)]
+        kept_none = [sample_fn(b"x", i, keep_none) for i in range(100)]
         assert all(out == [] for out in kept_none)
 
     def test_sample_matches_reference_rule(self):
         seed, n, p = 123456789, 5000, 0.4
         expected = reference_sample_decisions(seed, n, p)
-        got = [sample_fn(b"x", i, p, seed) == [b"x"] for i in range(n)]
+        keep = sample_kernel(seed, p)
+        got = [sample_fn(b"x", i, keep) == [b"x"] for i in range(n)]
         assert got == expected
+
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_sample_kernel_equals_sample_uniform(self, p):
+        for seed in (0, 901, 123456789):
+            keep = sample_kernel(seed, p)
+            got = [keep(i) for i in range(20_000)]
+            assert got == [sample_uniform(seed, i) < p for i in range(20_000)], seed
+
+    @pytest.mark.parametrize("p", [0.4, 0.5, 1.0])
+    def test_sample_threshold_byte_compare_is_exact(self, p):
+        threshold = sample_threshold(p)
+        threshold_bytes = threshold.to_bytes(8, "big")
+        for n in range(max(0, threshold - 4096), min(2**64, threshold + 4097)):
+            prefix = n.to_bytes(8, "big")
+            for digest in (prefix + bytes(24), prefix + b"\xff" * 24):
+                assert (digest < threshold_bytes) == (n / 2**64 < p), hex(n)
+
+    def test_sample_threshold_values(self):
+        assert sample_threshold(0.0) == 0
+        assert sample_threshold(0.4) == 0x6666666666666600
+        assert sample_threshold(1.0) < 2**64
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_sample_probability_out_of_range(self, p):
+        with pytest.raises(ValueError):
+            sample_kernel(1, p)
 
     def test_sample_uniform_range(self):
         values = [sample_uniform(7, i) for i in range(1000)]
