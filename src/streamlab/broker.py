@@ -44,22 +44,6 @@ class BrokerError(Exception):
     pass
 
 
-class DuplicateTopicError(BrokerError):
-    pass
-
-
-class UnknownTopicError(BrokerError):
-    pass
-
-
-class InvalidPartitionError(BrokerError):
-    pass
-
-
-class EmptyPartitionError(BrokerError):
-    pass
-
-
 @dataclass(frozen=True)
 class LogEntry:
     offset: int
@@ -96,7 +80,7 @@ class Topic:
 
     def _check_partition(self, partition: int) -> None:
         if partition != 0:
-            raise InvalidPartitionError(
+            raise BrokerError(
                 f"topic {self.name!r} has no partition {partition}"
             )
 
@@ -149,7 +133,7 @@ class Topic:
         self._check_partition(partition)
         n = len(self._payloads)
         if n == 0:
-            raise EmptyPartitionError("partition is empty")
+            raise BrokerError("partition is empty")
         return self._timestamps[0], self._timestamps[n - 1]
 
     def high_water_mark(self, partition: int) -> int:
@@ -167,7 +151,7 @@ class LogBroker:
     def create_topic(self, config: TopicConfig) -> Topic:
         with self._lock:
             if config.name in self._topics:
-                raise DuplicateTopicError(f"topic {config.name!r} already exists")
+                raise BrokerError(f"topic {config.name!r} already exists")
             topic = Topic(config)
             self._topics[config.name] = topic
             return topic
@@ -176,14 +160,14 @@ class LogBroker:
         try:
             return self._topics[name]
         except KeyError:
-            raise UnknownTopicError(f"no topic named {name!r}") from None
+            raise BrokerError(f"no topic named {name!r}") from None
 
     def drop_topic(self, name: str) -> None:
         """Remove a topic and release its log; the name can be created
         again."""
         with self._lock:
             if self._topics.pop(name, None) is None:
-                raise UnknownTopicError(f"no topic named {name!r}")
+                raise BrokerError(f"no topic named {name!r}")
 
     def has_topic(self, name: str) -> bool:
         return name in self._topics

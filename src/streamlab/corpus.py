@@ -43,10 +43,6 @@ class MalformedRecordError(CorpusError):
         self.column_count = column_count
 
 
-class TopicNotEmptyError(CorpusError):
-    pass
-
-
 @dataclass(frozen=True)
 class SearchLogRecord:
     user_id: str
@@ -208,7 +204,7 @@ def send(
     without being held."""
     topic = broker.topic(topic_name)
     if topic.high_water_mark(0) != 0:
-        raise TopicNotEmptyError(f"topic {topic_name!r} already holds records")
+        raise CorpusError(f"topic {topic_name!r} already holds records")
     append = topic.append
     for payload in payloads:
         append(0, payload)

@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker import LogBroker, TopicConfig, clock_ms
+from .broker import LogBroker, TopicConfig
 # generate_corpus is not called here; the benchmark's tracer wraps it by name.
 from .corpus import CorpusSpec, generate_corpus, iter_payloads, send  # noqa: F401
 from .microbatch import BatchPolicy
@@ -343,11 +343,12 @@ def build_slowdown_report(
             native = means.get((engine, ApiKind.NATIVE, query))
             if not unified or not native:
                 continue
-            if set(unified) != set(native) or any(v <= 0 for v in native.values()):
+            try:
+                sf = slowdown_factor(unified, native)
+            except (ValueError, ZeroDivisionError):
                 # ratio undefined (degenerate sub-millisecond native runs)
                 undefined.append(f"{engine.value}-{query.value}")
                 continue
-            sf = slowdown_factor(unified, native)
             slowdowns.append(
                 SlowdownEntry(
                     engine=engine,
@@ -364,7 +365,6 @@ def build_slowdown_report(
         "config_hash": config.config_hash(),
         "rng_seed": config.corpus_spec.rng_seed,
         "clock": "process-wide monotonic clock, integer milliseconds since process epoch",
-        "clock_now_ms": clock_ms(),
         "stddev_kind": "population",
         "undefined_slowdowns": undefined,
         "degenerate_runs": [

@@ -25,17 +25,13 @@ from .topology import (
 )
 
 
-class InvalidPolicyError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BatchPolicy:
     max_batch_size: int = 1000
 
     def __post_init__(self):
         if self.max_batch_size < 1:
-            raise InvalidPolicyError("max_batch_size must be positive")
+            raise ValueError("max_batch_size must be positive")
 
 
 class MicrobatchEngine(Engine):

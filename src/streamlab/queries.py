@@ -118,10 +118,6 @@ def grep_fn(payload: bytes, needle: bytes) -> list[bytes]:
     return [payload] if needle in payload else []
 
 
-class InvalidCombinationError(ValueError):
-    pass
-
-
 def build_query(
     spec: QuerySpec,
     api_kind: ApiKind,
@@ -136,7 +132,7 @@ def build_query(
 ) -> Job:
     """Assemble an executable job for one benchmark setup."""
     if not isinstance(api_kind, ApiKind) or not isinstance(engine_kind, EngineKind):
-        raise InvalidCombinationError(f"invalid combination {api_kind!r}/{engine_kind!r}")
+        raise ValueError(f"invalid combination {api_kind!r}/{engine_kind!r}")
     if engine_kind is EngineKind.TUPLE:
         engine = TupleEngine(broker)
     else:

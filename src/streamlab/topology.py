@@ -30,10 +30,6 @@ class TopologyError(Exception):
     pass
 
 
-class MissingSinkError(TopologyError):
-    pass
-
-
 class OperatorFailure(RuntimeError):
     """Raised when an operator function fails; names the node."""
 
@@ -99,20 +95,11 @@ class TopologyBuilder:
     def _add(self, base: str, fn, name):
         if self._sink_topic is not None:
             raise TopologyError("cannot add operators after sink_write")
-        name = _check_name(name or self._default_name(base))
+        name = _check_name(name or base)
         if name in {op.name for op in self._operators} or name == self._source_name:
             raise TopologyError(f"duplicate node name {name!r}")
         self._operators.append(OperatorSpec(name, fn))
         return self
-
-    def _default_name(self, base: str) -> str:
-        taken = {op.name for op in self._operators}
-        if base not in taken:
-            return base
-        n = 2
-        while f"{base}-{n}" in taken:
-            n += 1
-        return f"{base}-{n}"
 
     def map(self, fn, name: str | None = None, with_index: bool = False):
         if with_index:
@@ -136,7 +123,7 @@ class TopologyBuilder:
 
     def build(self) -> Topology:
         if self._sink_topic is None:
-            raise MissingSinkError("topology has no sink; call sink_write")
+            raise TopologyError("topology has no sink; call sink_write")
         return Topology(
             source_topic=self._source_topic,
             end_offset=self._end_offset,

@@ -1,17 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from streamlab.broker import (
-    DuplicateTopicError,
-    EmptyPartitionError,
-    InvalidPartitionError,
-    LogBroker,
-    TopicConfig,
-    UnknownTopicError,
-    clock_ms,
-)
+from streamlab.broker import BrokerError, LogBroker, TopicConfig, clock_ms
 
 
 @pytest.fixture
@@ -35,12 +31,12 @@ def test_create_topic_starts_empty(broker):
 
 def test_create_topic_duplicate_name(broker):
     broker.create_topic(TopicConfig("input"))
-    with pytest.raises(DuplicateTopicError):
+    with pytest.raises(BrokerError, match="already exists"):
         broker.create_topic(TopicConfig("input"))
 
 
 def test_drop_topic(broker):
-    with pytest.raises(UnknownTopicError):
+    with pytest.raises(BrokerError, match="no topic named"):
         broker.drop_topic("out")
     kept = broker.create_topic(TopicConfig("input"))
     kept.append(0, b"kept")
@@ -48,7 +44,7 @@ def test_drop_topic(broker):
     broker.drop_topic("out")
     assert broker.topic_names() == ["input"]
     assert not broker.has_topic("out")
-    with pytest.raises(UnknownTopicError):
+    with pytest.raises(BrokerError, match="no topic named"):
         broker.drop_topic("out")
     # the name is free again, for a new, empty log
     assert broker.create_topic(TopicConfig("out")).high_water_mark(0) == 0
@@ -72,15 +68,15 @@ def test_sequential_appends_monotone_timestamps(broker):
 
 
 def test_append_to_unknown_topic(broker):
-    with pytest.raises(UnknownTopicError):
+    with pytest.raises(BrokerError, match="no topic named"):
         broker.topic("nope")
 
 
 def test_append_invalid_partition(broker):
     topic = broker.create_topic(TopicConfig("t", partitions=1))
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(BrokerError, match="has no partition"):
         topic.append(1, b"x")
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(BrokerError, match="has no partition"):
         topic.append(-1, b"x")
 
 
@@ -97,7 +93,7 @@ def test_append_invalid_partition(broker):
 def test_read_side_rejects_partition_1(broker, call):
     topic = broker.create_topic(TopicConfig("t"))
     topic.append(0, b"x")
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(BrokerError, match="has no partition"):
         call(topic)
 
 
@@ -219,7 +215,7 @@ def test_boundary_timestamps_match_full_read(broker):
 
 def test_boundary_timestamps_empty_partition(broker):
     topic = broker.create_topic(TopicConfig("t"))
-    with pytest.raises(EmptyPartitionError):
+    with pytest.raises(BrokerError, match="partition is empty"):
         topic.boundary_timestamps(0)
 
 
@@ -290,3 +286,18 @@ def test_topic_config_validation():
         TopicConfig("t", partitions=0)
     with pytest.raises(ValueError):
         TopicConfig("t", partitions=2)
+
+
+def test_importing_broker_loads_no_other_layer():
+    package = Path(__file__).resolve().parents[1] / "src" / "streamlab"
+    # perfbench's program_present() refuses to run without this file
+    assert (package / "__init__.py").is_file()
+    code = (
+        "import sys, streamlab.broker; "
+        "print(sorted(m for m in ('streamlab.harness', 'streamlab.queries') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

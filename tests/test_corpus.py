@@ -10,7 +10,6 @@ from streamlab.corpus import (
     CorpusSpec,
     MalformedRecordError,
     SearchLogRecord,
-    TopicNotEmptyError,
     generate_corpus,
     iter_payloads,
     parse_record,
@@ -198,6 +197,6 @@ class TestSend:
         broker = LogBroker()
         broker.create_topic(TopicConfig("input"))
         broker.topic("input").append(0, b"already here")
-        with pytest.raises(TopicNotEmptyError):
+        with pytest.raises(CorpusError, match="already holds records"):
             send(default_payloads, broker, "input")
 

@@ -10,7 +10,6 @@ from streamlab.corpus import (
     CorpusError,
     CorpusSpec,
     SearchLogRecord,
-    TopicNotEmptyError,
     generate_corpus,
     serialize_record,
 )
@@ -225,7 +224,7 @@ class TestPhases:
         broker = LogBroker()
         count = phase_ingest(config, broker)
         assert count == 501
-        with pytest.raises(TopicNotEmptyError):
+        with pytest.raises(CorpusError, match="already holds records"):
             phase_ingest(config, broker)
 
     def test_execute_produces_expected_run_count(self):
@@ -447,6 +446,20 @@ class TestSlowdownReport:
             assert entry.native_mean_ms >= 0
         assert report.metadata["config_hash"] == config.config_hash()
         assert report.metadata["rng_seed"] == config.corpus_spec.rng_seed
+
+    @pytest.mark.parametrize(
+        "unified, native",
+        [({1: 2.0}, {1: 0.0}), ({2: 2.0}, {1: 1.0})],
+        ids=["zero-native-mean", "different-parallelisms"],
+    )
+    def test_undefined_slowdown_listed_without_entry(self, unified, native):
+        results = []
+        for api, means in ((ApiKind.UNIFIED, unified), (ApiKind.NATIVE, native)):
+            for p, t in means.items():
+                results += results_from_times([t, t], p, api)
+        report = build_slowdown_report(tiny_config(), results)
+        assert report.metadata["undefined_slowdowns"] == ["tuple-identity"]
+        assert report.slowdowns == []
 
 
 class TestEmitReport:

@@ -5,7 +5,7 @@ import pytest
 
 from streamlab import microbatch
 from streamlab.broker import Topic, TopicConfig
-from streamlab.microbatch import BatchPolicy, InvalidPolicyError, MicrobatchEngine
+from streamlab.microbatch import BatchPolicy, MicrobatchEngine
 from streamlab.topology import OperatorFailure
 from streamlab.tuple_engine import TupleEngine
 
@@ -38,7 +38,7 @@ def input_reads(monkeypatch, ingested_broker):
 
 
 def test_policy_validation():
-    with pytest.raises(InvalidPolicyError):
+    with pytest.raises(ValueError, match="must be positive"):
         BatchPolicy(max_batch_size=0)
     assert BatchPolicy().max_batch_size == 1000
 

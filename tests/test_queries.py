@@ -13,7 +13,6 @@ from streamlab.queries import (
     SAMPLE_PROBABILITY,
     ApiKind,
     EngineKind,
-    InvalidCombinationError,
     QueryKind,
     QuerySpec,
     build_query,
@@ -124,7 +123,7 @@ class TestBuildQuery:
         assert len(job.plan.nodes) == 7
 
     def test_invalid_combination(self, ingested_broker):
-        with pytest.raises(InvalidCombinationError):
+        with pytest.raises(ValueError, match="invalid combination"):
             build_query(
                 QuerySpec(QueryKind.GREP), "native", EngineKind.TUPLE,
                 broker=ingested_broker, source_topic="input", end_offset=1,

@@ -6,7 +6,6 @@ from streamlab.broker import LogBroker, Topic, TopicConfig
 from streamlab.microbatch import MicrobatchEngine
 from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
-    MissingSinkError,
     OperatorFailure,
     TopologyBuilder,
     TopologyError,
@@ -17,8 +16,8 @@ from streamlab.tuple_engine import TupleEngine
 
 def linear_builder(n_ops=1):
     b = TopologyBuilder("input", 10)
-    for _ in range(n_ops):
-        b.map(lambda x: x)
+    for k in range(n_ops):
+        b.map(lambda x: x, name=f"m{k}")
     return b
 
 
@@ -39,12 +38,13 @@ class TestBuilder:
         assert topo.node_names() == ["source", "sink"]
 
     def test_finalize_without_sink(self):
-        with pytest.raises(MissingSinkError):
+        with pytest.raises(TopologyError, match="has no sink"):
             linear_builder().build()
 
-    def test_duplicate_default_names_get_suffixes(self):
-        topo = linear_builder(3).sink_write("out").build()
-        assert topo.node_names() == ["source", "map", "map-2", "map-3", "sink"]
+    def test_duplicate_default_name_rejected(self):
+        b = TopologyBuilder("input", 10).map(lambda x: x)
+        with pytest.raises(TopologyError, match="duplicate node name 'map'"):
+            b.map(lambda x: x)
 
     def test_explicit_duplicate_name_rejected(self):
         b = TopologyBuilder("input", 10).map(lambda x: x, name="stage")
@@ -237,9 +237,9 @@ class TestPlan:
         for _ in range(100):
             n_ops = rng.randint(0, 8)
             b = TopologyBuilder("input", rng.randint(0, 50))
-            for _ in range(n_ops):
+            for k in range(n_ops):
                 kind = rng.choice(["map", "flat_map", "filter"])
-                getattr(b, kind)(lambda x: x)
+                getattr(b, kind)(lambda x: x, name=f"op{k}")
             topo = b.sink_write("out").build()
             p = rng.randint(1, 4)
             plan = plan_from_topology(topo, p)

@@ -176,7 +176,7 @@ class TestTranslate:
         ]
         native = (
             engine_cls(broker).build("input", len(payloads))
-            .flat_map(tag, with_index=True).flat_map(twice)
+            .flat_map(tag, name="tag", with_index=True).flat_map(twice, name="twice")
             .sink_write("out-n").build()
         )
         for topic in ("out-u", "out-n"):
