@@ -54,22 +54,14 @@ class Setup:
         return (self.engine.value, self.api_kind.value, self.query.value, self.parallelism)
 
 
-DEFAULT_QUERIES = (
-    QueryKind.IDENTITY,
-    QueryKind.SAMPLE,
-    QueryKind.PROJECTION,
-    QueryKind.GREP,
-)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     corpus_spec: CorpusSpec
     runs_per_setup: int = 10
     parallelisms: tuple[int, ...] = (1, 2)
-    engines: tuple[EngineKind, ...] = (EngineKind.TUPLE, EngineKind.MICROBATCH)
-    api_kinds: tuple[ApiKind, ...] = (ApiKind.NATIVE, ApiKind.UNIFIED)
-    queries: tuple[QueryKind, ...] = DEFAULT_QUERIES
+    engines: tuple[EngineKind, ...] = tuple(EngineKind)
+    api_kinds: tuple[ApiKind, ...] = tuple(ApiKind)
+    queries: tuple[QueryKind, ...] = tuple(QueryKind)
     batch_policy: BatchPolicy = BatchPolicy()
     output_dir: Path = Path("bench-out")
     warmup: int = 0
@@ -279,8 +271,7 @@ def compute_execution_time(broker: LogBroker, output_topic: str) -> int:
 # Statistics.
 
 def mean_time(times) -> float:
-    if not times:
-        raise ValueError("mean of empty list is undefined")
+    """Raises statistics.StatisticsError, a ValueError, on no times."""
     return statistics.fmean(times)
 
 
@@ -294,6 +285,14 @@ def slowdown_factor(unified_means: dict, native_means: dict) -> float:
         raise ZeroDivisionError("native mean must be positive")
     ratios = [unified_means[p] / native_means[p] for p in unified_means]
     return sum(ratios) / len(ratios)
+
+
+def _by_combo(stats: list[SetupStats]) -> dict[tuple, list[SetupStats]]:
+    """Setup stats grouped by (engine, API kind, query), in stats order."""
+    groups: dict[tuple, list[SetupStats]] = {}
+    for s in stats:
+        groups.setdefault((s.setup.engine, s.setup.api_kind, s.setup.query), []).append(s)
+    return groups
 
 
 def aggregate_stats(
@@ -313,15 +312,9 @@ def aggregate_stats(
         rel = stddev / mean if mean > 0 else 0.0
         stats.append(SetupStats(setup, mean, stddev, rel, insufficient_runs=len(times) < 2))
 
-    by_combo: dict[tuple, list[float]] = {}
-    for s in stats:
-        key = (s.setup.engine, s.setup.api_kind, s.setup.query)
-        by_combo.setdefault(key, []).append(s.rel_stddev)
     deviations = [
-        QueryDeviation(engine, api_kind, query, sum(rels) / len(rels))
-        for (engine, api_kind, query), rels in sorted(
-            by_combo.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value, kv[0][2].value)
-        )
+        QueryDeviation(*combo, sum(s.rel_stddev for s in group) / len(group))
+        for combo, group in _by_combo(stats).items()
     ]
     return stats, deviations
 
@@ -330,10 +323,10 @@ def build_slowdown_report(
     config: BenchmarkConfig, results: list[RunResult]
 ) -> SlowdownReport:
     stats, deviations = aggregate_stats(results)
-    means: dict[tuple, dict[int, float]] = {}
-    for s in stats:
-        key = (s.setup.engine, s.setup.api_kind, s.setup.query)
-        means.setdefault(key, {})[s.setup.parallelism] = s.mean_ms
+    means = {
+        combo: {s.setup.parallelism: s.mean_ms for s in group}
+        for combo, group in _by_combo(stats).items()
+    }
 
     slowdowns = []
     undefined = []
@@ -349,15 +342,11 @@ def build_slowdown_report(
                 # ratio undefined (degenerate sub-millisecond native runs)
                 undefined.append(f"{engine.value}-{query.value}")
                 continue
-            slowdowns.append(
-                SlowdownEntry(
-                    engine=engine,
-                    query=query,
-                    sf=sf,
-                    unified_mean_ms=mean_time(list(unified.values())),
-                    native_mean_ms=mean_time(list(native.values())),
-                )
-            )
+            slowdowns.append(SlowdownEntry(
+                engine, query, sf,
+                unified_mean_ms=mean_time(unified.values()),
+                native_mean_ms=mean_time(native.values()),
+            ))
     slowdowns.sort(key=lambda e: (e.engine.value, e.query.value))
 
     metadata = {
@@ -378,22 +367,33 @@ def build_slowdown_report(
 # ---------------------------------------------------------------------------
 # Emission.
 
-RESULTS_COLUMNS = ["engine", "api_kind", "query", "parallelism",
-                   "run_index", "exec_time_ms", "records_out"]
-STATS_COLUMNS = ["engine", "api_kind", "query", "parallelism",
-                 "mean_ms", "stddev_ms", "rel_stddev"]
+SETUP_COLUMNS = ["engine", "api_kind", "query", "parallelism"]  # Setup.sort_key() order
+RESULTS_COLUMNS = SETUP_COLUMNS + ["run_index", "exec_time_ms", "records_out"]
+STATS_COLUMNS = SETUP_COLUMNS + ["mean_ms", "stddev_ms", "rel_stddev"]
 SLOWDOWN_COLUMNS = ["engine", "query", "sf", "unified_mean_ms", "native_mean_ms"]
 
 
-def write_results_csv(results: list[RunResult], path: Path) -> None:
+def _cell(value, digits: int) -> str:
+    return f"{value:.{digits}f}" if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Path, columns: list[str], rows) -> Path:
+    """Floats are written with 6 decimals."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
-        for r in results:
-            writer.writerow([
-                r.setup.engine.value, r.setup.api_kind.value, r.setup.query.value,
-                r.setup.parallelism, r.run_index, r.exec_time_ms, r.records_out,
-            ])
+        writer.writerow(columns)
+        writer.writerows([_cell(v, 6) for v in row] for row in rows)
+    return path
+
+
+def _slowdown_row(e: SlowdownEntry) -> tuple:
+    return (e.engine.value, e.query.value, e.sf, e.unified_mean_ms, e.native_mean_ms)
+
+
+def write_results_csv(results: list[RunResult], path: Path) -> Path:
+    return _write_csv(path, RESULTS_COLUMNS, (
+        (*r.setup.sort_key(), r.run_index, r.exec_time_ms, r.records_out) for r in results
+    ))
 
 
 def read_results_csv(path: Path) -> list[RunResult]:
@@ -433,9 +433,7 @@ def emit_runs(
     """Write results.csv and one plans/plan-<slug>.txt per plan."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = out_dir / "results.csv"
-    write_results_csv(results, results_path)
-    written = [results_path]
+    written = [write_results_csv(results, out_dir / "results.csv")]
     if plans:
         plans_dir = out_dir / "plans"
         plans_dir.mkdir(exist_ok=True)
@@ -456,69 +454,42 @@ def emit_report(
     out_dir = Path(out_dir)
     written = emit_runs(results, out_dir, plans)
 
-    stats_path = out_dir / "stats.csv"
-    with open(stats_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for s in report.setup_stats:
-            writer.writerow([
-                s.setup.engine.value, s.setup.api_kind.value, s.setup.query.value,
-                s.setup.parallelism,
-                f"{s.mean_ms:.6f}", f"{s.stddev_ms:.6f}", f"{s.rel_stddev:.6f}",
-            ])
-    written.append(stats_path)
-
-    slowdown_path = out_dir / "slowdown.csv"
-    with open(slowdown_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SLOWDOWN_COLUMNS)
-        for e in report.slowdowns:
-            writer.writerow([
-                e.engine.value, e.query.value, f"{e.sf:.6f}",
-                f"{e.unified_mean_ms:.6f}", f"{e.native_mean_ms:.6f}",
-            ])
-    written.append(slowdown_path)
-
+    written.append(_write_csv(out_dir / "stats.csv", STATS_COLUMNS, (
+        (*s.setup.sort_key(), s.mean_ms, s.stddev_ms, s.rel_stddev) for s in report.setup_stats
+    )))
+    written.append(_write_csv(out_dir / "slowdown.csv", SLOWDOWN_COLUMNS,
+                              map(_slowdown_row, report.slowdowns)))
     report_path = out_dir / "report.md"
     report_path.write_text(_render_report_md(report))
     written.append(report_path)
     return written
 
 
+def _md_table(title: str, columns: list[str], rows) -> list[str]:
+    """One report.md section; floats are shown with 3 decimals."""
+    return [
+        f"## {title}", "",
+        "| " + " | ".join(columns) + " |",
+        "|" + "---|" * len(columns),
+        *("| " + " | ".join(_cell(v, 3) for v in row) + " |" for row in rows),
+        "",
+    ]
+
+
 def _render_report_md(report: SlowdownReport) -> str:
-    lines = ["# Benchmark report", ""]
-    lines.append("## Slowdown factors (unified vs native)")
-    lines.append("")
-    lines.append("| engine | query | sf | unified mean ms | native mean ms |")
-    lines.append("|---|---|---|---|---|")
-    for e in report.slowdowns:
-        lines.append(
-            f"| {e.engine.value} | {e.query.value} | {e.sf:.3f} "
-            f"| {e.unified_mean_ms:.3f} | {e.native_mean_ms:.3f} |"
-        )
-    lines.append("")
-    lines.append("## Per-setup statistics")
-    lines.append("")
-    lines.append("| setup | mean ms | stddev ms | rel stddev |")
-    lines.append("|---|---|---|---|")
-    for s in report.setup_stats:
-        lines.append(
-            f"| {s.setup.slug()} | {s.mean_ms:.3f} | {s.stddev_ms:.3f} | {s.rel_stddev:.3f} |"
-        )
-    lines.append("")
-    lines.append("## Relative stddev per system-query-SDK (averaged over parallelisms)")
-    lines.append("")
-    lines.append("| engine | api kind | query | rel stddev |")
-    lines.append("|---|---|---|---|")
-    for d in report.deviations:
-        lines.append(
-            f"| {d.engine.value} | {d.api_kind.value} | {d.query.value} | {d.rel_stddev:.3f} |"
-        )
-    lines.append("")
-    lines.append("## Metadata")
-    lines.append("")
-    lines.append("```json")
-    lines.append(json.dumps(report.metadata, indent=2, sort_keys=True))
-    lines.append("```")
-    lines.append("")
-    return "\n".join(lines)
+    setups = [(s.setup.slug(), s.mean_ms, s.stddev_ms, s.rel_stddev) for s in report.setup_stats]
+    deviations = [
+        (d.engine.value, d.api_kind.value, d.query.value, d.rel_stddev) for d in report.deviations
+    ]
+    return "\n".join([
+        "# Benchmark report", "",
+        *_md_table("Slowdown factors (unified vs native)",
+                   ["engine", "query", "sf", "unified mean ms", "native mean ms"],
+                   map(_slowdown_row, report.slowdowns)),
+        *_md_table("Per-setup statistics",
+                   ["setup", "mean ms", "stddev ms", "rel stddev"], setups),
+        *_md_table("Relative stddev per system-query-SDK (averaged over parallelisms)",
+                   ["engine", "api kind", "query", "rel stddev"], deviations),
+        "## Metadata", "",
+        "```json", json.dumps(report.metadata, indent=2, sort_keys=True), "```", "",
+    ])

@@ -40,7 +40,7 @@ class OperatorFailure(RuntimeError):
         self.cause = cause
 
 
-_NAME_RE = re.compile(r"^[\w.:-]+$")
+_NAME_RE = re.compile(r"[\w.:-]+")
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,6 @@ class TopologyBuilder:
         return self._add("filter", lambda v, i: (v,) if fn(v) else (), name)
 
     def sink_write(self, topic: str, name: str = "sink"):
-        if self._sink_topic is not None:
-            raise TopologyError("sink_write may only be called once")
         self._add("sink_write", None, name)
         self._sink_topic = topic
         return self
@@ -174,7 +172,7 @@ class Job:
 
 
 def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise TopologyError(f"invalid node name {name!r}")
     return name
 

@@ -63,6 +63,8 @@ class TestBuilder:
             TopologyBuilder("input", 10).map(lambda x: x, name="has space")
         with pytest.raises(TopologyError):
             TopologyBuilder("input", 10, source_name="bad name")
+        with pytest.raises(TopologyError):
+            TopologyBuilder("input", 10).map(lambda x: x, name="trailing\n")
 
     def test_negative_end_offset(self):
         with pytest.raises(TopologyError):
