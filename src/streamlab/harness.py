@@ -404,16 +404,16 @@ def read_results_csv(path: Path) -> list[RunResult]:
             raise HarnessError(f"unexpected results.csv columns: {reader.fieldnames}")
         for row in reader:
             try:
+                if None in row:  # DictReader files cells past the header under None
+                    raise ValueError(f"extra cells {row[None]}")
+                # parallelism, then RunResult's run_index, exec_time_ms and records_out
+                p, *counts = (int(row[c]) for c in RESULTS_COLUMNS[3:])
+                if p < 1 or min(counts) < 0:
+                    raise ValueError("parallelism below 1, or a negative index, time or count")
                 setup = Setup(
-                    EngineKind(row["engine"]), ApiKind(row["api_kind"]),
-                    QueryKind(row["query"]), int(row["parallelism"]),
+                    EngineKind(row["engine"]), ApiKind(row["api_kind"]), QueryKind(row["query"]), p
                 )
-                results.append(RunResult(
-                    setup=setup,
-                    run_index=int(row["run_index"]),
-                    exec_time_ms=int(row["exec_time_ms"]),
-                    records_out=int(row["records_out"]),
-                ))
+                results.append(RunResult(setup, *counts))
             except (ValueError, TypeError) as exc:
                 raise HarnessError(f"bad row on line {reader.line_num}: {exc}") from exc
     return results

@@ -1,28 +1,24 @@
 """Micro-batch mini stream engine.
 
 The bounded source range is discretized into immutable batches of
-max_batch_size elements (the final batch may be smaller). The range is
-already in the log, so the calling thread reads each batch with one
-read just before it runs, as a start offset and a list of payloads;
-each element's index is its offset. Partition i of p holds the batch's
-offsets that are i mod p, by the tuple engine's lane rule
-(`topology.lane_items`). Partitions run concurrently, with a strict
-barrier between batches: every output of batch i is appended to the
-sink before any output of batch i+1. So partition i can count into one
-dict for the whole job, and `topology.job_report` sums the dicts. The
-first failing batch ends the job; no later batch is read.
+max_batch_size elements (the final batch may be smaller). The engine
+runs `topology.run_lanes` with batched lanes: partition k of p is a
+lane that drains the batch's offsets that are k mod p, each element
+numbered by its offset, and the lanes meet at a strict barrier after
+each batch. The barrier's action reads the next batch once for all
+lanes, so every output of batch i is appended to the sink before batch
+i+1 is read, and it records the batch count and each batch's sink
+bounds. At p = 1 the one lane runs on the calling thread; at p > 1
+lane k is thread `microbatch-lane-k`. The first failing batch ends the
+job: every lane finishes its share of it, and no later batch is read.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .broker import LogBroker
-from .topology import (
-    Engine, JobReport, Topology, drain, job_report, lane_items, read_chunks, run_chain,
-)
+from .topology import Engine, JobReport, Topology, run_chain, run_lanes
 
 
 @dataclass(frozen=True)
@@ -42,38 +38,8 @@ class MicrobatchEngine(Engine):
         self.policy = policy or BatchPolicy()
 
     def execute(self, topology: Topology, parallelism: int = 1) -> JobReport:
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        source = self._broker.topic(topology.source_topic)
-        sink = self._broker.topic(topology.sink_topic)
-        p = parallelism
-        invocations = [defaultdict(int) for _ in range(p)]
-        records_out = 0
-        batch_count = 0
-        batch_sink_bounds: list[tuple[int, int]] = []
-
-        with ThreadPoolExecutor(max_workers=p) as pool:
-            for start, batch in read_chunks(
-                source, topology.end_offset, self.policy.max_batch_size
-            ):
-                batch_count += 1
-                pre_hwm = sink.high_water_mark(0)
-                parts = [list(lane_items(start, batch, i, p)) for i in range(p)]
-                # run_chain is passed by this module's name for it, so that
-                # a wrapper installed on microbatch.run_chain sees every call.
-                # An empty partition gets no task.
-                futures = [
-                    pool.submit(drain, run_chain, topology.operators, part, sink, counts)
-                    for part, counts in zip(parts, invocations)
-                    if part
-                ]
-                # The barrier; the first failing partition's error ends the job.
-                for future in futures:
-                    records_out += future.result()
-                post_hwm = sink.high_water_mark(0)
-                if post_hwm > pre_hwm:
-                    batch_sink_bounds.append((pre_hwm, post_hwm - 1))
-        return job_report(
-            topology, records_out, invocations,
-            batches=batch_count, batch_sink_bounds=batch_sink_bounds,
+        # Names read at call time, so that a patch on this module applies.
+        return run_lanes(
+            self._broker, topology, parallelism, self.policy.max_batch_size, run_chain,
+            batches=True, name="microbatch-lane",
         )

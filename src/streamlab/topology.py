@@ -1,24 +1,26 @@
-"""Operator DAG shared by both native engines.
+"""Operator DAG and `run_lanes`, the one lane runner of both engines.
 
 Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
-sink. Both engines share one path: `read_chunks` reads the source as
-(start offset, payloads) chunks from `Topic.read_payloads`, building no
-per-record log entry; `lane_items` gives lane or partition k of p the
-offsets of a chunk that are k mod p; `drain` pushes those through the
-fused chain into the sink; and `job_report` sums the per-lane counts.
-In the fused chain each element makes one pass with one function call
-per operator and no inter-operator queueing; `run_chain` calls a node
-once per value entering it, and when that is one value it skips the
-nested comprehension. Every node is called fn(payload, source_index)
-and returns an iterable of outputs; the builder adapts each user
-function to that once. The sink is always the last node of
-`Topology.operators`, with fn None.
+sink, the last node of `Topology.operators`, with fn None. Every other
+node is called fn(payload, source_index) and returns an iterable of
+outputs; the builder adapts each user function to that once.
+`read_chunks` reads the source as (start offset, payloads) chunks from
+`Topic.read_payloads`, building no per-record log entry; `lane_items`
+gives lane k of p the offsets of a chunk that are k mod p; `drain`
+pushes those through the fused chain into the sink; and `job_report`
+sums the per-lane counts. In the fused chain each element makes one
+pass with one function call per operator and no inter-operator
+queueing; `run_chain` calls a node once per value entering it, and
+when that is one value it skips the nested comprehension.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -227,11 +229,10 @@ def run_chain(
     return values
 
 
-def drain(run, operators, items, sink, invocations) -> int:
+def drain(run, operators, items, sink, invocations) -> None:
     """Push (index, payload) items through the chain with run, a
     run_chain, and append the survivors to partition 0 of the sink
-    topic, counting each at the sink, the last node. Returns the number
-    appended."""
+    topic, counting each at the sink, the last node."""
     chain = operators[:-1]
     append = sink.append
     appended = 0
@@ -240,23 +241,94 @@ def drain(run, operators, items, sink, invocations) -> int:
             append(0, value)
             appended += 1
     invocations[operators[-1].name] += appended
-    return appended
 
 
 def job_report(
-    topology: Topology, records_out: int, lane_invocations: list[dict[str, int]],
+    topology: Topology, lane_invocations: list[dict[str, int]],
     batches: int | None = None, batch_sink_bounds: list[tuple[int, int]] | None = None,
 ) -> JobReport:
     """The report of a completed run: each node's count summed over the
-    lanes or partitions, with a zero for a node no element reached."""
+    lanes (zero for a node no element reached), the sink's as records out."""
     invocations = dict.fromkeys((op.name for op in topology.operators), 0)
     for counts in lane_invocations:
         for name, calls in counts.items():
             invocations[name] += calls
     return JobReport(
         records_in=topology.end_offset,
-        records_out=records_out,
+        records_out=invocations[topology.operators[-1].name],
         operator_invocations=invocations,
         batches=batches,
         batch_sink_bounds=batch_sink_bounds,
     )
+
+
+def run_lanes(
+    broker: LogBroker, topology: Topology, p: int, size: int, run,
+    batches: bool = False, name: str = "tuple-lane",
+) -> JobReport:
+    """Run topology on p lanes: lane k drains with run, a run_chain, the
+    offsets k mod p of each chunk of at most size records. Free lanes
+    (tuple) each read every chunk themselves. With batches (micro-batch),
+    a barrier ends each chunk, and its action notes the sink's high-water
+    mark and reads the next chunk once for all lanes. At p = 1 the lane
+    runs on the calling thread; above that, lane k is thread {name}-{k}.
+    Once a lane fails no lane takes another chunk, and after every lane
+    has ended the lowest failed lane's error is raised."""
+    if p < 1:
+        raise ValueError("parallelism must be >= 1")
+    source = broker.topic(topology.source_topic)
+    sink = broker.topic(topology.sink_topic)
+    invocations = [defaultdict(int) for _ in range(p)]
+    failures: list[Exception | None] = [None] * p
+    batch_chunks = read_chunks(source, topology.end_offset, size)
+    batch = [None]  # the chunk every lane drains; None ends the lanes
+    marks: list[int] = []  # the sink's high-water mark at each barrier
+
+    def next_batch():
+        marks.append(sink.high_water_mark(0))
+        batch[0] = None if any(failures) else next(batch_chunks, None)
+
+    barrier = threading.Barrier(p, action=next_batch)
+
+    def free(k):
+        for start, payloads in read_chunks(source, topology.end_offset, size):
+            yield lane_items(start, payloads, k, p)
+            if any(failures):
+                return
+
+    def batched(k):
+        barrier.wait()
+        while batch[0] is not None:
+            yield lane_items(*batch[0], k, p)
+            barrier.wait()
+
+    def run_lane(k):
+        items = itertools.chain.from_iterable(batched(k) if batches else free(k))
+        try:
+            drain(run, topology.operators, items, sink, invocations[k])
+        except threading.BrokenBarrierError:
+            pass  # the lane whose barrier action raised holds the error
+        except Exception as exc:
+            failures[k] = exc
+            if batches and not barrier.broken:
+                barrier.wait()  # end this batch with the others; read no more
+
+    if p == 1:
+        run_lane(0)
+    else:
+        threads = [
+            threading.Thread(target=run_lane, args=(k,), name=f"{name}-{k}", daemon=True)
+            for k in range(p)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    if not batches:
+        return job_report(topology, invocations)
+    bounds = [(a, b - 1) for a, b in zip(marks, marks[1:]) if b > a]
+    return job_report(topology, invocations, len(marks) - 1, bounds)

@@ -22,12 +22,12 @@ def verify_broker_coherence(broker):
 
 @pytest.fixture(autouse=True)
 def no_engine_thread_outlives_a_test():
-    """Every lane and worker thread an engine starts has ended by the
-    time execute returns or raises."""
+    """Every lane thread an engine starts has ended by the time execute
+    returns or raises."""
     yield
     alive = [
         t.name for t in threading.enumerate()
-        if t.name.startswith(("tuple-lane-", "ThreadPoolExecutor"))
+        if t.name.startswith(("tuple-lane-", "microbatch-lane-"))
     ]
     assert alive == []
 

@@ -93,9 +93,16 @@ RESULTS_HEADER = ",".join(RESULTS_COLUMNS) + "\n"
         (RESULTS_HEADER + "foo,native,grep,1,0,5,3\n", json.dumps({"config": {}})),
         (RESULTS_HEADER + "tuple,native,grep,x,0,5,3\n", json.dumps({"config": {}})),
         (RESULTS_HEADER, json.dumps({"config": []})),
+        (RESULTS_HEADER + "tuple,native,grep,0,0,5,3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "tuple,native,grep,1,-1,5,3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "tuple,native,grep,1,0,-5,3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "tuple,native,grep,1,0,5,-3\n", json.dumps({"config": {}})),
+        (RESULTS_HEADER + "tuple,native,grep,1,0,5,3,9\n", json.dumps({"config": {}})),
     ],
     ids=["metadata-not-json", "metadata-without-config", "results-wrong-header",
-         "results-bad-engine", "results-bad-parallelism", "metadata-config-not-object"],
+         "results-bad-engine", "results-bad-parallelism", "metadata-config-not-object",
+         "results-parallelism-0", "results-negative-run-index", "results-negative-exec-time",
+         "results-negative-records-out", "results-extra-cell"],
 )
 def test_report_malformed_bench_output_is_config_error(tmp_path, capsys, results, metadata):
     (tmp_path / "results.csv").write_text(results)

@@ -16,7 +16,9 @@ from streamlab.corpus import (
 from streamlab.harness import (
     INPUT_TOPIC,
     BenchmarkConfig,
+    RESULTS_COLUMNS,
     EmptyOutputError,
+    HarnessError,
     RunResult,
     Setup,
     aggregate_stats,
@@ -528,6 +530,20 @@ class TestEmitReport:
         emit_report(report, results, tmp_path / "out")
         listed = '"insufficient_runs": [\n    "tuple-native-identity-p1"\n  ]'
         assert listed in (tmp_path / "out" / "report.md").read_text()
+
+
+    @pytest.mark.parametrize(
+        "row",
+        ["grep,0,0,5,3", "grep,1,-1,5,3", "grep,1,0,-5,3", "grep,1,0,5,-3", "grep,1,0,5,3,9"],
+        ids=["parallelism-0", "negative-run-index", "negative-exec-time",
+             "negative-records-out", "extra-cell"],
+    )
+    def test_results_csv_row_no_run_can_produce_is_refused(self, tmp_path, row):
+        path = tmp_path / "results.csv"
+        header = ",".join(RESULTS_COLUMNS)
+        path.write_text(f"{header}\ntuple,native,grep,1,0,5,3\ntuple,native,{row}\n")
+        with pytest.raises(HarnessError, match="bad row on line 3"):
+            read_results_csv(path)
 
 
 class TestDumpPlan:

@@ -1,9 +1,8 @@
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from streamlab import microbatch
 from streamlab.broker import Topic, TopicConfig
 from streamlab.microbatch import BatchPolicy, MicrobatchEngine
 from streamlab.topology import OperatorFailure
@@ -150,6 +149,31 @@ def test_failing_operator_stops_reading_and_names_the_first_element(
     assert input_reads == [(100, 0)]
 
 
+def test_a_failing_lane_ends_its_batch_with_the_others_and_no_later_batch_is_read(
+    ingested_broker, input_reads, run_with_timeout
+):
+    # only lane 1 fails, on element 151 of the second batch: lane 0 still
+    # drains its 50 elements of that batch, and no third batch is read
+    engine = MicrobatchEngine(ingested_broker, BatchPolicy(100))
+
+    def boom_at_151(v, i):
+        if i == 151:
+            raise RuntimeError("nope")
+        return v
+
+    topo = (
+        engine.build("input", 10001).map(boom_at_151, name="bad", with_index=True)
+        .sink_write(out_topic(ingested_broker)).build()
+    )
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism=2))
+    assert finished
+    assert isinstance(raised, OperatorFailure)
+    assert (raised.node, raised.index) == ("bad", 151)
+    assert input_reads == [(100, 0), (100, 100)]
+    # the first batch, lane 0's 50 of the second and lane 1's 25 before 151
+    assert ingested_broker.topic("out").high_water_mark(0) == 175
+
+
 def test_each_batch_is_read_after_the_previous_one_is_sunk(ingested_broker, input_reads):
     engine = MicrobatchEngine(ingested_broker, BatchPolicy(100))
     topo = engine.build("input", 10001).sink_write(out_topic(ingested_broker)).build()
@@ -173,28 +197,32 @@ def test_batch_accounting_at_the_edges(
 
 
 def test_partition_k_of_each_batch_gets_the_offsets_k_mod_p(
-    ingested_broker, default_payloads, monkeypatch
+    ingested_broker, default_payloads
 ):
     # 1001-record batches start at offsets 0, 1001 and 2002, which are 0,
-    # 2 and 1 mod 3, so each batch starts partition 0 at a different
-    # position within it
-    parts = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, fn, run, operators, items, *rest):
-            parts.append(list(items))
-            return super().submit(fn, run, operators, items, *rest)
-
-    monkeypatch.setattr(microbatch, "ThreadPoolExecutor", RecordingPool)
+    # 1 and 0 mod 2 and 0, 2 and 1 mod 3, so a batch can start partition 0
+    # at a different position within it
     engine = MicrobatchEngine(ingested_broker, BatchPolicy(1001))
-    n, p = 2503, 3
-    topo = engine.build("input", n).sink_write(out_topic(ingested_broker)).build()
-    report = engine.execute(topo, parallelism=p)
-    assert report.records_out == n
-    assert len(parts) == report.batches * p == 9
-    for k, part in enumerate(parts):
-        assert all(i % p == k % p and v == default_payloads[i] for i, v in part)
-    assert sorted(i for part in parts for i, _ in part) == list(range(n))
+    n = 2503
+    for p in (2, 3):
+        seen = []
+
+        def tag(v, i):
+            seen.append((threading.current_thread().name, i, v))
+            return v
+
+        topo = (
+            engine.build("input", n).map(tag, with_index=True)
+            .sink_write(out_topic(ingested_broker, f"out-p{p}")).build()
+        )
+        report = engine.execute(topo, parallelism=p)
+        assert report.records_out == n
+        assert report.batches == 3
+        by_lane = {}
+        for lane, i, v in seen:
+            assert v == default_payloads[i]
+            by_lane.setdefault(lane, []).append(i)
+        assert by_lane == {f"microbatch-lane-{k}": list(range(k, n, p)) for k in range(p)}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -209,21 +237,12 @@ def test_empty_range_reports_every_node_at_zero(ingested_broker, engine_cls, p):
     assert report.operator_invocations == {"m": 0, "sink": 0}
 
 
-def test_single_element_batches_skip_empty_partitions(
-    ingested_broker, default_payloads, monkeypatch
-):
-    partition_sizes = []
-    real_drain = microbatch.drain
-
-    def drain(run, operators, items, sink, invocations):
-        partition_sizes.append(len(items))
-        return real_drain(run, operators, items, sink, invocations)
-
-    monkeypatch.setattr(microbatch, "drain", drain)
+def test_single_element_batches_skip_empty_partitions(ingested_broker, default_payloads):
+    # two of the three partitions of each batch are empty: their lanes
+    # drain nothing and meet the third at the batch's barrier
     engine = MicrobatchEngine(ingested_broker, BatchPolicy(1))
     out = out_topic(ingested_broker)
     topo = engine.build("input", 50).sink_write(out).build()
     report = engine.execute(topo, parallelism=3)
-    assert partition_sizes == [1] * 50
     assert report.batches == 50
     assert read_all(ingested_broker, out) == default_payloads[:50]

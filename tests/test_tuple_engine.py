@@ -6,6 +6,7 @@ import pytest
 
 from streamlab import tuple_engine
 from streamlab.broker import Topic, TopicConfig
+from streamlab.microbatch import MicrobatchEngine
 from streamlab.topology import OperatorFailure, TopologyError
 from streamlab.tuple_engine import TupleEngine
 
@@ -171,10 +172,13 @@ def test_p1_reads_on_the_calling_thread_and_starts_no_thread(
 
     monkeypatch.setattr(Topic, "read_payloads", read)
     monkeypatch.setattr(threading.Thread, "start", start)
-    topo = engine.build("input", 2503).sink_write(out_topic(ingested_broker)).build()
-    assert engine.execute(topo, parallelism=1).records_out == 2503
-    assert readers == {threading.current_thread()}
-    assert started == []
+    # the micro-batch engine runs its one lane, barrier and reads there too
+    for engine in (engine, MicrobatchEngine(ingested_broker)):
+        out = out_topic(ingested_broker, f"out-{type(engine).__name__}")
+        topo = engine.build("input", 2503).sink_write(out).build()
+        assert engine.execute(topo, parallelism=1).records_out == 2503
+        assert readers == {threading.current_thread()}
+        assert started == []
 
 
 def test_failing_source_read_ends_every_lane(
