@@ -7,12 +7,15 @@ node is called fn(payload, source_index) and returns an iterable of
 outputs; the builder adapts each user function to that once.
 `read_chunks` reads the source as (start offset, payloads) chunks from
 `Topic.read_payloads`, building no per-record log entry; `lane_items`
-gives lane k of p the offsets of a chunk that are k mod p; `drain`
-pushes those through the fused chain into the sink; and `job_report`
-sums the per-lane counts. In the fused chain each element makes one
-pass with one function call per operator and no inter-operator
-queueing; `run_chain` calls a node once per value entering it, and
-when that is one value it skips the nested comprehension.
+gives lane k of p the offsets of a chunk that are k mod p;
+`compile_drain` generates, once per job, the loop that pushes those
+through the chain into the sink; and `job_report` sums the per-lane
+counts. As in an engine that chains operators into one task, each
+element makes one pass with one call per node and no inter-operator
+queueing, and the generated code calls each node directly: nested
+`for` loops, one per node, with nothing fused. `run_chain` is the
+reference definition of one element's pass, which tests compare the
+generated drain with; no engine calls it.
 """
 
 from __future__ import annotations
@@ -211,7 +214,9 @@ def run_chain(
 ) -> list[bytes]:
     """Push one source element through operators, a chain without its
     sink, counting one invocation per element entering each node.
-    Returns the surviving values (empty once a node drops it)."""
+    Returns the surviving values (empty once a node drops it). The
+    reference definition of what `compile_drain`'s code does per
+    element; the engines run that code, not this."""
     values = [payload]
     for op in operators:
         n = len(values)
@@ -229,18 +234,84 @@ def run_chain(
     return values
 
 
-def drain(run, operators, items, sink, invocations) -> None:
-    """Push (index, payload) items through the chain with run, a
-    run_chain, and append the survivors to partition 0 of the sink
-    topic, counting each at the sink, the last node."""
-    chain = operators[:-1]
-    append = sink.append
-    appended = 0
-    for index, payload in items:
-        for value in run(chain, index, payload, invocations):
-            append(0, value)
-            appended += 1
-    invocations[operators[-1].name] += appended
+_DRAIN_FILE = "<streamlab drain>"  # co_filename of generated code
+_NODES_PER_FUNCTION = 8  # CPython nests at most 20 blocks in one function
+
+
+def _node_loops(k: int, stop: int, inner: list[str]) -> list[str]:
+    """Source lines that run nodes k..stop-1 on v, each value of node j
+    going through nodes j+1.. and then inner, each node in its own try."""
+    if k == stop:
+        return inner
+    return [
+        f"c{k} += 1",
+        "try:",
+        f"    for v in f{k}(v, index):",
+        *("        " + line for line in _node_loops(k + 1, stop, inner)),
+        "except OperatorFailure:",
+        "    raise",
+        "except Exception as exc:",
+        f"    raise OperatorFailure(n{k}, index, exc) from exc",
+    ]
+
+
+def compile_drain(operators: tuple[OperatorSpec, ...]):
+    """Generate drain(items, append, counts) for one chain, once per job.
+
+    The drain pushes each (index, payload) item through the chain and
+    calls append(0, value) for each survivor, then adds each node's count
+    to counts: the values that entered it, and for the sink, the last
+    node, the values appended. Node k is `for v in f_k(v, index):` inside
+    its own try, nested in node k-1's loop, so each node is still its own
+    call, a generator is iterated inside its node's try, and a failure,
+    the sink's append included, raises OperatorFailure naming its node and
+    element. The source text holds only indices; each node's function and
+    name reach it through the exec namespace. A function holds at most
+    eight nodes; a longer chain hands each value on to a nested function.
+
+    It is `run_chain` plus an append per survivor, with the same sink
+    order and counts on success: depth-first over nested loops visits
+    the values in run_chain's order. On failure two things differ. A
+    record whose node fails partway, a fan-out whose later value fails
+    or a generator that raises after yielding, may already have earlier
+    outputs in the sink. And if two values of one record would fail at
+    different nodes, the first one in depth-first order is named."""
+    n = len(operators) - 1  # operators[n] is the sink
+    namespace = {"OperatorFailure": OperatorFailure}
+    for k, op in enumerate(operators):
+        namespace[f"n{k}"] = op.name
+        namespace[f"f{k}"] = op.fn
+    bounds = list(range(0, n, _NODES_PER_FUNCTION)) + [n]
+    segments = list(zip(bounds, bounds[1:])) or [(0, 0)]
+    inner = [
+        f"try: append(0, v); c{n} += 1",
+        "except Exception as exc:",
+        f"    raise OperatorFailure(n{n}, index, exc) from exc",
+    ]
+    nested = []
+    for s in reversed(range(1, len(segments))):
+        start, stop = segments[s]
+        counters = [f"c{k}" for k in range(start, stop)]
+        if s == len(segments) - 1:
+            counters.append(f"c{n}")
+        nested = [
+            f"def s{s}(v, index):",
+            f"    nonlocal {', '.join(counters)}",
+            *("    " + line for line in _node_loops(start, stop, inner)),
+        ] + nested
+        inner = [f"s{s}(v, index)"]
+    lines = [
+        "def drain(items, append, counts):",
+        "    " + " = ".join(f"c{k}" for k in range(n + 1)) + " = 0",
+        *("    " + line for line in nested),
+        "    try:",
+        "        for index, v in items:",
+        *("            " + line for line in _node_loops(*segments[0], inner)),
+        "    finally:",
+        *(f"        counts[n{k}] += c{k}" for k in range(n + 1)),
+    ]
+    exec(compile("\n".join(lines) + "\n", _DRAIN_FILE, "exec"), namespace)
+    return namespace["drain"]
 
 
 def job_report(
@@ -263,14 +334,15 @@ def job_report(
 
 
 def run_lanes(
-    broker: LogBroker, topology: Topology, p: int, size: int, run,
+    broker: LogBroker, topology: Topology, p: int, size: int,
     batches: bool = False, name: str = "tuple-lane",
 ) -> JobReport:
-    """Run topology on p lanes: lane k drains with run, a run_chain, the
-    offsets k mod p of each chunk of at most size records. Free lanes
-    (tuple) each read every chunk themselves. With batches (micro-batch),
-    a barrier ends each chunk, and its action notes the sink's high-water
-    mark and reads the next chunk once for all lanes. At p = 1 the lane
+    """Run topology on p lanes: lane k pushes the offsets k mod p of each
+    chunk of at most size records through the job's drain, compiled once
+    for all lanes. Free lanes (tuple) each read every chunk themselves.
+    With batches (micro-batch), a barrier ends each chunk, and its action
+    notes the sink's high-water mark and reads the next chunk once for
+    all lanes. At p = 1 the lane
     runs on the calling thread; above that, lane k is thread {name}-{k}.
     Once a lane fails no lane takes another chunk, and after every lane
     has ended the lowest failed lane's error is raised."""
@@ -278,6 +350,7 @@ def run_lanes(
         raise ValueError("parallelism must be >= 1")
     source = broker.topic(topology.source_topic)
     sink = broker.topic(topology.sink_topic)
+    drain = compile_drain(topology.operators)
     invocations = [defaultdict(int) for _ in range(p)]
     failures: list[Exception | None] = [None] * p
     batch_chunks = read_chunks(source, topology.end_offset, size)
@@ -305,7 +378,7 @@ def run_lanes(
     def run_lane(k):
         items = itertools.chain.from_iterable(batched(k) if batches else free(k))
         try:
-            drain(run, topology.operators, items, sink, invocations[k])
+            drain(items, sink.append, invocations[k])
         except threading.BrokenBarrierError:
             pass  # the lane whose barrier action raised holds the error
         except Exception as exc:

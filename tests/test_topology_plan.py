@@ -1,14 +1,19 @@
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, Topic, TopicConfig
 from streamlab.microbatch import MicrobatchEngine
 from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
     OperatorFailure,
+    OperatorSpec,
     TopologyBuilder,
     TopologyError,
+    compile_drain,
     run_chain,
 )
 from streamlab.tuple_engine import TupleEngine
@@ -71,6 +76,35 @@ class TestBuilder:
             TopologyBuilder("input", -1)
 
 
+def drain_record(chain, index, payload, invocations):
+    """run_chain's signature over a compiled drain: one record through
+    chain and a sink that collects it, adding the chain's counts to
+    invocations, also when a node fails."""
+    out = []
+    counts = defaultdict(int)
+    drain = compile_drain((*chain, OperatorSpec("collect", None)))
+    try:
+        drain([(index, payload)], lambda partition, value: out.append(value), counts)
+    finally:
+        for op in chain:
+            invocations[op.name] += counts[op.name]
+    assert counts["collect"] == len(out)
+    return out
+
+
+# Each case runs on the reference and on a compiled drain; the
+# reference's test ids are those the tests had before the drain existed.
+RUNNERS = [(run_chain, ""), (drain_record, "-drain")]
+
+
+def with_runners(cases, ids):
+    return [
+        pytest.param(run, *case, id=f"{case_id}{suffix}")
+        for run, suffix in RUNNERS
+        for case, case_id in zip(cases, ids)
+    ]
+
+
 class TestRunChain:
     def test_counts_and_filtering(self):
         topo = (
@@ -87,7 +121,7 @@ class TestRunChain:
         assert out == [b"keep-a!", b"keep-c!"]
         assert invocations["excite"] == 3
         assert invocations["keep"] == 3
-        assert invocations["sink"] == 0  # drain, not run_chain, counts the sink
+        assert invocations["sink"] == 0  # the sink is not in the chain run_chain takes
 
     def test_flat_map_fan_out(self):
         topo = (
@@ -121,19 +155,19 @@ class TestRunChain:
     ]
 
     @pytest.mark.parametrize(
-        "method, with_index, fn, at_1, at_2", NODE_CASES,
-        ids=[f"{c[0]}{'-with_index' if c[1] else ''}" for c in NODE_CASES],
+        "run, method, with_index, fn, at_1, at_2",
+        with_runners(NODE_CASES, [f"{c[0]}{'-with_index' if c[1] else ''}" for c in NODE_CASES]),
     )
-    def test_node_outputs_and_failure(self, method, with_index, fn, at_1, at_2):
+    def test_node_outputs_and_failure(self, run, method, with_index, fn, at_1, at_2):
         builder = getattr(TopologyBuilder("input", 3), method)
         topo = builder(fn, name="node", with_index=with_index).sink_write("out").build()
         chain = topo.operators[:-1]
         invocations = {"node": 0}
-        assert run_chain(chain, 1, b"ab", invocations) == at_1
-        assert run_chain(chain, 2, b"ab", invocations) == at_2
+        assert run(chain, 1, b"ab", invocations) == at_1
+        assert run(chain, 2, b"ab", invocations) == at_2
         assert invocations["node"] == 2
         with pytest.raises(OperatorFailure) as info:
-            run_chain(chain, 7, b"boom", invocations)
+            run(chain, 7, b"boom", invocations)
         assert (info.value.node, info.value.index) == ("node", 7)
         assert isinstance(info.value.cause, ZeroDivisionError)
 
@@ -146,14 +180,17 @@ class TestRunChain:
             .sink_write("out")
             .build()
         )
-        invocations = {op.name: 0 for op in topo.operators}
-        out = run_chain(topo.operators[:-1], 0, b"ab", invocations)
-        assert type(out) is list
-        assert out == [b"a", b"A", b"ab", b"AB"]
-        assert invocations == {"halves": 1, "again": 2, "sink": 0}
+        for run, _ in RUNNERS:
+            invocations = {op.name: 0 for op in topo.operators}
+            out = run(topo.operators[:-1], 0, b"ab", invocations)
+            assert type(out) is list
+            assert out == [b"a", b"A", b"ab", b"AB"], run
+            assert invocations == {"halves": 1, "again": 2, "sink": 0}, run
 
-    @pytest.mark.parametrize("fan_out", [1, 3], ids=["one-value", "many-value"])
-    def test_generator_failing_partway_names_node_and_index(self, fan_out):
+    @pytest.mark.parametrize(
+        "run, fan_out", with_runners([(1,), (3,)], ["one-value", "many-value"])
+    )
+    def test_generator_failing_partway_names_node_and_index(self, run, fan_out):
         def partial(v):
             yield v
             raise ValueError("halfway")
@@ -168,10 +205,13 @@ class TestRunChain:
         )
         invocations = {"fan": 0, "partial": 0}
         with pytest.raises(OperatorFailure) as info:
-            run_chain(chain, 4, b"x", invocations)
+            run(chain, 4, b"x", invocations)
         assert (info.value.node, info.value.index) == ("partial", 4)
         assert isinstance(info.value.cause, ValueError)
-        assert invocations == {"fan": 1, "partial": fan_out}
+        # run_chain passes every value of fan to partial before it fails;
+        # the drain goes depth first and stops at the first value.
+        partial_calls = fan_out if run is run_chain else 1
+        assert invocations == {"fan": 1, "partial": partial_calls}
 
     @pytest.mark.parametrize("payload, expected", [(b"keep", [b"keep"]), (b"drop", [])])
     def test_returns_a_list(self, payload, expected):
@@ -184,6 +224,147 @@ class TestRunChain:
         )
         out = run_chain(chain, 0, payload, {"filter": 0})
         assert type(out) is list and out == expected
+
+
+# One random chain node: (builder method, with_index, a flat_map's
+# fan-out or the other methods' salt, whether a flat_map returns a
+# generator, and the residue of (len(value) + index) % 7 on which the
+# node fails before it returns or yields anything, or None).
+NODES = st.tuples(
+    st.sampled_from(["map", "filter", "flat_map"]),
+    st.booleans(),
+    st.integers(0, 3),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+
+
+def random_node_fn(method, with_index, k, generator, fails_at):
+    def check(v, i):
+        if fails_at is not None and (len(v) + i) % 7 == fails_at:
+            raise ValueError(v)
+
+    if method == "map":
+        def fn(v, i):
+            check(v, i)
+            return v + b"%d" % (k + i)
+    elif method == "filter":
+        def fn(v, i):
+            check(v, i)
+            return (len(v) + k + i) % 3 != 0
+    elif generator:
+        def fn(v, i):
+            check(v, i)
+            yield from (v + b"%d" % j for j in range(k))
+    else:
+        def fn(v, i):
+            check(v, i)
+            return [v + b"%d" % j for j in range(k)]
+    return fn if with_index else lambda v: fn(v, 0)
+
+
+def fan_out(nodes):
+    product = 1
+    for method, _, k, _, _ in nodes:
+        product *= k if method == "flat_map" else 1
+    return product
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Up to ten nodes, so that some chains span two generated functions.
+    nodes=st.lists(NODES, max_size=10).filter(lambda nodes: fan_out(nodes) <= 64),
+    start=st.integers(0, 20),
+    payloads=st.lists(st.binary(max_size=4), max_size=6),
+)
+def test_compiled_drain_is_run_chain_plus_append(nodes, start, payloads):
+    builder = TopologyBuilder("input", 0)
+    for k, (method, with_index, *args) in enumerate(nodes):
+        fn = random_node_fn(method, with_index, *args)
+        getattr(builder, method)(fn, name=f"n{k}", with_index=with_index)
+    operators = builder.sink_write("out").build().operators
+    items = list(enumerate(payloads, start))
+
+    expected, expected_counts, expected_error = [], dict.fromkeys(
+        (op.name for op in operators), 0
+    ), None
+    try:
+        for index, payload in items:
+            for value in run_chain(operators[:-1], index, payload, expected_counts):
+                expected.append(value)
+                expected_counts["sink"] += 1
+    except OperatorFailure as exc:
+        expected_error = exc
+
+    out, counts, error = [], defaultdict(int), None
+    try:
+        compile_drain(operators)(items, lambda partition, value: out.append(value), counts)
+    except OperatorFailure as exc:
+        error = exc
+
+    if expected_error is None:
+        assert error is None
+        assert out == expected
+        assert {op.name: counts[op.name] for op in operators} == expected_counts
+    else:
+        assert error is not None and error.index == expected_error.index
+        assert isinstance(error.cause, ValueError)
+        assert out[:len(expected)] == expected  # every record before the failing one
+        if all(method != "flat_map" or k <= 1 for method, _, k, _, _ in nodes):
+            assert error.node == expected_error.node
+
+
+def test_a_chain_longer_than_one_generated_function():
+    # 20 nodes span three generated functions; node 17 fails on b"a1".
+    builder = TopologyBuilder("input", 0)
+    for k in range(20):
+        if k % 6 == 1:
+            builder.flat_map(lambda v: [v, v.upper()], name=f"n{k}")
+        elif k == 17:
+            builder.filter(lambda v: 1 / (v != b"a1"), name=f"n{k}")
+        else:
+            builder.map(lambda v, i: v[:1] + b"%d" % i, name=f"n{k}", with_index=True)
+    operators = builder.sink_write("out").build().operators
+    for items in ([(2, b"x"), (3, b"y")], [(0, b"a"), (1, b"a")]):
+        expected, expected_counts = [], dict.fromkeys((op.name for op in operators), 0)
+        out, counts = [], defaultdict(int)
+        drain = compile_drain(operators)
+        try:
+            for index, payload in items:
+                expected += run_chain(operators[:-1], index, payload, expected_counts)
+            expected_counts["sink"] = len(expected)
+        except OperatorFailure as exc:
+            with pytest.raises(OperatorFailure) as info:
+                drain(items, lambda partition, value: out.append(value), counts)
+            assert (info.value.node, info.value.index) == (exc.node, exc.index) == ("n17", 1)
+        else:
+            drain(items, lambda partition, value: out.append(value), counts)
+            assert out == expected and len(out) == 2 * 2**4
+            assert {op.name: counts[op.name] for op in operators} == expected_counts
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+def test_a_value_the_sink_cannot_append_names_the_sink_and_element(
+    engine_cls, parallelism, run_with_timeout
+):
+    broker = LogBroker()
+    source = broker.create_topic(TopicConfig("input"))
+    for i in range(10):
+        source.append(0, b"r%d" % i)
+    broker.create_topic(TopicConfig("out"))
+    engine = engine_cls(broker)
+    topo = (
+        engine.build("input", 10)
+        .map(lambda v: v.decode(), name="to_str")
+        .sink_write("out", name="write")
+        .build()
+    )
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism))
+    assert finished
+    assert isinstance(raised, OperatorFailure)
+    assert (raised.node, raised.index) == ("write", 0)
+    assert isinstance(raised.cause, TypeError)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
