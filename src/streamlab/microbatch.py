@@ -3,14 +3,15 @@
 The bounded source range is discretized into immutable batches of
 max_batch_size elements (the final batch may be smaller). The engine
 runs `topology.run_lanes` with batched lanes: partition k of p is a
-lane that drains the batch's offsets that are k mod p, each element
-numbered by its offset, and the lanes meet at a strict barrier after
-each batch. The barrier's action reads the next batch once for all
-lanes, so every output of batch i is appended to the sink before batch
-i+1 is read, and it records the batch count and each batch's sink
-bounds. At p = 1 the one lane runs on the calling thread; at p > 1
-lane k is thread `microbatch-lane-k`. The first failing batch ends the
-job: every lane finishes its share of it, and no later batch is read.
+lane that pushes the batch's offsets that are k mod p, each element
+numbered by its offset, through the job's compiled drain, and the
+lanes meet at a strict barrier after each batch. The barrier's action
+reads the next batch once for all lanes, so every output of batch i is
+appended to the sink before batch i+1 is read, and it records the
+batch count and each batch's sink bounds. At p = 1 the one lane runs
+on the calling thread; at p > 1 lane k is thread `microbatch-lane-k`.
+The first failing batch ends the job: every lane finishes its share of
+it, and no later batch is read.
 """
 
 from __future__ import annotations

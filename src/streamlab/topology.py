@@ -259,15 +259,16 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     """Generate drain(items, append, counts) for one chain, once per job.
 
     The drain pushes each (index, payload) item through the chain and
-    calls append(0, value) for each survivor, then adds each node's count
-    to counts: the values that entered it, and for the sink, the last
-    node, the values appended. Node k is `for v in f_k(v, index):` inside
-    its own try, nested in node k-1's loop, so each node is still its own
-    call, a generator is iterated inside its node's try, and a failure,
-    the sink's append included, raises OperatorFailure naming its node and
-    element. The source text holds only indices; each node's function and
-    name reach it through the exec namespace. A function holds at most
-    eight nodes; a longer chain hands each value on to a nested function.
+    calls append(0, value) for each survivor. When it returns or raises,
+    it adds each node's count to counts: the values that entered it,
+    and for the sink, the last node, the values appended. Node k is
+    `for v in f_k(v, index):` inside its own try, nested in node k-1's
+    loop, so each node is still its own call, a generator is iterated
+    inside its node's try, and a failure, the sink's append included,
+    raises OperatorFailure naming its node and element. The source text
+    holds only indices; each node's function and name reach it through
+    the exec namespace. A function holds at most eight nodes; a longer
+    chain hands each value on to a nested function.
 
     It is `run_chain` plus an append per survivor, with the same sink
     order and counts on success: depth-first over nested loops visits
@@ -283,23 +284,23 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
         namespace[f"f{k}"] = op.fn
     bounds = list(range(0, n, _NODES_PER_FUNCTION)) + [n]
     segments = list(zip(bounds, bounds[1:])) or [(0, 0)]
-    inner = [
+    inner = [  # the sink; on the try's own line, the try costs no NOP
         f"try: append(0, v); c{n} += 1",
         "except Exception as exc:",
         f"    raise OperatorFailure(n{n}, index, exc) from exc",
     ]
     nested = []
-    for s in reversed(range(1, len(segments))):
-        start, stop = segments[s]
+    for j in reversed(range(1, len(segments))):
+        start, stop = segments[j]
         counters = [f"c{k}" for k in range(start, stop)]
-        if s == len(segments) - 1:
+        if j == len(segments) - 1:
             counters.append(f"c{n}")
         nested = [
-            f"def s{s}(v, index):",
+            f"def s{j}(v, index):",
             f"    nonlocal {', '.join(counters)}",
             *("    " + line for line in _node_loops(start, stop, inner)),
         ] + nested
-        inner = [f"s{s}(v, index)"]
+        inner = [f"s{j}(v, index)"]
     lines = [
         "def drain(items, append, counts):",
         "    " + " = ".join(f"c{k}" for k in range(n + 1)) + " = 0",
@@ -342,10 +343,10 @@ def run_lanes(
     for all lanes. Free lanes (tuple) each read every chunk themselves.
     With batches (micro-batch), a barrier ends each chunk, and its action
     notes the sink's high-water mark and reads the next chunk once for
-    all lanes. At p = 1 the lane
-    runs on the calling thread; above that, lane k is thread {name}-{k}.
-    Once a lane fails no lane takes another chunk, and after every lane
-    has ended the lowest failed lane's error is raised."""
+    all lanes. At p = 1 the lane runs on the calling thread; above that,
+    lane k is thread {name}-{k}. Once a lane fails no lane takes another
+    chunk, and after every lane has ended the lowest failed lane's error
+    is raised."""
     if p < 1:
         raise ValueError("parallelism must be >= 1")
     source = broker.topic(topology.source_topic)
