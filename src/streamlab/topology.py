@@ -272,11 +272,13 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
 
     It is `run_chain` plus an append per survivor, with the same sink
     order and counts on success: depth-first over nested loops visits
-    the values in run_chain's order. On failure two things differ. A
+    the values in run_chain's order. On failure three things differ. A
     record whose node fails partway, a fan-out whose later value fails
     or a generator that raises after yielding, may already have earlier
-    outputs in the sink. And if two values of one record would fail at
-    different nodes, the first one in depth-first order is named."""
+    outputs in the sink. If two values of one record would fail at
+    different nodes, the first one in depth-first order is named. An
+    OperatorFailure raised by a node's own function passes through as
+    it is, where run_chain wraps it in one naming that node."""
     n = len(operators) - 1  # operators[n] is the sink
     namespace = {"OperatorFailure": OperatorFailure}
     for k, op in enumerate(operators):

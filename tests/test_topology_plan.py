@@ -93,7 +93,7 @@ def drain_record(chain, index, payload, invocations):
 
 
 # Each case runs on the reference and on a compiled drain; the
-# reference's test ids are those the tests had before the drain existed.
+# reference's cases keep the plain test ids.
 RUNNERS = [(run_chain, ""), (drain_record, "-drain")]
 
 
