@@ -3,8 +3,8 @@
 Benchmark jobs are linear chains: one bounded source (a topic prefix
 captured as [0, end_offset)), zero or more stateless operators, and one
 sink, the last node of `Topology.operators`, with fn None. Every other
-node is called fn(payload, source_index) and returns an iterable of
-outputs; the builder adapts each user function to that once.
+node keeps the user's function as given, with its shape (map, filter or
+flat_map) and whether it also takes the element's source index.
 `read_chunks` reads the source as (start offset, payloads) chunks from
 `Topic.read_payloads`, building no per-record log entry; `lane_items`
 gives lane k of p the offsets of a chunk that are k mod p;
@@ -12,10 +12,12 @@ gives lane k of p the offsets of a chunk that are k mod p;
 through the chain into the sink; and `job_report` sums the per-lane
 counts. As in an engine that chains operators into one task, each
 element makes one pass with one call per node and no inter-operator
-queueing, and the generated code calls each node directly: nested
-`for` loops, one per node, with nothing fused. `run_chain` is the
-reference definition of one element's pass, which tests compare the
-generated drain with; no engine calls it.
+queueing, and the generated code calls each node's function directly,
+as its shape needs: a map's result is the next value, a filter's truth
+guards the rest of the chain, and only a flat_map loops over its
+outputs, with nothing fused. `run_chain` is the reference definition
+of one element's pass, which tests compare the generated drain with;
+no engine calls it.
 """
 
 from __future__ import annotations
@@ -45,16 +47,27 @@ class OperatorFailure(RuntimeError):
         self.cause = cause
 
 
+class _DrainFailure(OperatorFailure):
+    """The OperatorFailure that generated drain code raises, so that a
+    flat_map node lets a downstream node's failure through and wraps one
+    its own function raises."""
+
+
 _NAME_RE = re.compile(r"[\w.:-]+")
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One named node: fn(payload, index) -> outputs, or None for the
-    sink."""
+    """One named node: the user's function as given, and how a value v
+    goes through it. shape "map" outputs fn(v), "filter" outputs v when
+    fn(v) is true, and "flat_map" outputs each value fn(v) iterates;
+    with_index calls fn(v, index) instead, index being the element's
+    source offset. The sink has shape "sink" and fn None."""
 
     name: str
     fn: Callable | None
+    shape: str
+    with_index: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,30 +110,26 @@ class TopologyBuilder:
         self._operators: list[OperatorSpec] = []
         self._sink_topic: str | None = None
 
-    def _add(self, base: str, fn, name):
+    def _add(self, shape: str, fn, name, with_index: bool = False):
         if self._sink_topic is not None:
             raise TopologyError("cannot add operators after sink_write")
-        name = _check_name(name or base)
+        name = _check_name(name or shape)
         if name in {op.name for op in self._operators} or name == self._source_name:
             raise TopologyError(f"duplicate node name {name!r}")
-        self._operators.append(OperatorSpec(name, fn))
+        self._operators.append(OperatorSpec(name, fn, shape, with_index))
         return self
 
     def map(self, fn, name: str | None = None, with_index: bool = False):
-        if with_index:
-            return self._add("map", lambda v, i: (fn(v, i),), name)
-        return self._add("map", lambda v, i: (fn(v),), name)
+        return self._add("map", fn, name, with_index)
 
     def flat_map(self, fn, name: str | None = None, with_index: bool = False):
-        return self._add("flat_map", fn if with_index else lambda v, i: fn(v), name)
+        return self._add("flat_map", fn, name, with_index)
 
     def filter(self, fn, name: str | None = None, with_index: bool = False):
-        if with_index:
-            return self._add("filter", lambda v, i: (v,) if fn(v, i) else (), name)
-        return self._add("filter", lambda v, i: (v,) if fn(v) else (), name)
+        return self._add("filter", fn, name, with_index)
 
     def sink_write(self, topic: str, name: str = "sink"):
-        self._add("sink_write", None, name)
+        self._add("sink", None, name)
         self._sink_topic = topic
         return self
 
@@ -219,14 +228,9 @@ def run_chain(
     element; the engines run that code, not this."""
     values = [payload]
     for op in operators:
-        n = len(values)
-        invocations[op.name] += n
+        invocations[op.name] += len(values)
         try:
-            # One value (the common case) needs no nested comprehension.
-            if n == 1:
-                values = list(op.fn(values[0], index))
-            else:
-                values = [w for v in values for w in op.fn(v, index)]
+            values = [w for v in values for w in _outputs(op, v, index)]
         except Exception as exc:
             raise OperatorFailure(op.name, index, exc) from exc
         if not values:
@@ -234,24 +238,50 @@ def run_chain(
     return values
 
 
+def _outputs(op: OperatorSpec, v, index: int):
+    """The values that node op outputs for value v of element index."""
+    out = op.fn(v, index) if op.with_index else op.fn(v)
+    if op.shape == "map":
+        return (out,)
+    if op.shape == "filter":
+        return (v,) if out else ()
+    return out
+
+
 _DRAIN_FILE = "<streamlab drain>"  # co_filename of generated code
 _NODES_PER_FUNCTION = 8  # CPython nests at most 20 blocks in one function
 
 
-def _node_loops(k: int, stop: int, inner: list[str]) -> list[str]:
-    """Source lines that run nodes k..stop-1 on v, each value of node j
-    going through nodes j+1.. and then inner, each node in its own try."""
+def _node_loops(operators, k: int, stop: int, inner: list[str]) -> list[str]:
+    """Source lines that run nodes k..stop-1 on v, each output of node j
+    going through nodes j+1.. and then inner. Each node's call is in its
+    own try; only a flat_map node loops, and the nodes after a filter
+    run under an if."""
     if k == stop:
         return inner
+    op = operators[k]
+    call = f"f{k}(v, index)" if op.with_index else f"f{k}(v)"
+    rest = _node_loops(operators, k + 1, stop, inner)
+    wrap = [
+        "except Exception as exc:",
+        f"    raise _DrainFailure(n{k}, index, exc) from exc",
+    ]
+    # As for the sink, a try on its body's line costs no NOP.
+    if op.shape == "map":
+        return [f"c{k} += 1", f"try: v = {call}", *wrap, *rest]
+    if op.shape == "filter":
+        return [
+            f"c{k} += 1", f"try: drop = not {call}", *wrap,
+            "if not drop:", *("    " + line for line in rest),
+        ]
     return [
         f"c{k} += 1",
         "try:",
-        f"    for v in f{k}(v, index):",
-        *("        " + line for line in _node_loops(k + 1, stop, inner)),
-        "except OperatorFailure:",
+        f"    for v in {call}:",
+        *("        " + line for line in rest),
+        "except _DrainFailure:",
         "    raise",
-        "except Exception as exc:",
-        f"    raise OperatorFailure(n{k}, index, exc) from exc",
+        *wrap,
     ]
 
 
@@ -261,26 +291,31 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     The drain pushes each (index, payload) item through the chain and
     calls append(0, value) for each survivor. When it returns or raises,
     it adds each node's count to counts: the values that entered it,
-    and for the sink, the last node, the values appended. Node k is
-    `for v in f_k(v, index):` inside its own try, nested in node k-1's
-    loop, so each node is still its own call, a generator is iterated
-    inside its node's try, and a failure, the sink's append included,
-    raises OperatorFailure naming its node and element. The source text
+    and for the sink, the last node, the values appended. Each node is
+    one call of its own function per value, in a try of its own, and
+    its code follows its shape. Map node k is `v = f_k(v)`, and the
+    nodes after it follow it; a filter is `drop = not f_k(v)`, and the
+    nodes after it run under `if not drop:`; a flat_map is
+    `for v in f_k(v):`, with the nodes after it in the loop body, so a
+    generator is iterated inside its node's try. A node with_index is
+    called f_k(v, index). A failure, a filter result's truth test and
+    the sink's append included, raises OperatorFailure naming its node
+    and element, also when a node's own function raised an
+    OperatorFailure: the drain raises a private subclass, which a
+    flat_map's try lets through from the nodes after it. The source text
     holds only indices; each node's function and name reach it through
     the exec namespace. A function holds at most eight nodes; a longer
     chain hands each value on to a nested function.
 
     It is `run_chain` plus an append per survivor, with the same sink
     order and counts on success: depth-first over nested loops visits
-    the values in run_chain's order. On failure three things differ. A
+    the values in run_chain's order. On failure two things differ. A
     record whose node fails partway, a fan-out whose later value fails
     or a generator that raises after yielding, may already have earlier
     outputs in the sink. If two values of one record would fail at
-    different nodes, the first one in depth-first order is named. An
-    OperatorFailure raised by a node's own function passes through as
-    it is, where run_chain wraps it in one naming that node."""
+    different nodes, the first one in depth-first order is named."""
     n = len(operators) - 1  # operators[n] is the sink
-    namespace = {"OperatorFailure": OperatorFailure}
+    namespace = {"_DrainFailure": _DrainFailure}
     for k, op in enumerate(operators):
         namespace[f"n{k}"] = op.name
         namespace[f"f{k}"] = op.fn
@@ -289,7 +324,7 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     inner = [  # the sink; on the try's own line, the try costs no NOP
         f"try: append(0, v); c{n} += 1",
         "except Exception as exc:",
-        f"    raise OperatorFailure(n{n}, index, exc) from exc",
+        f"    raise _DrainFailure(n{n}, index, exc) from exc",
     ]
     nested = []
     for j in reversed(range(1, len(segments))):
@@ -300,7 +335,7 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
         nested = [
             f"def s{j}(v, index):",
             f"    nonlocal {', '.join(counters)}",
-            *("    " + line for line in _node_loops(start, stop, inner)),
+            *("    " + line for line in _node_loops(operators, start, stop, inner)),
         ] + nested
         inner = [f"s{j}(v, index)"]
     lines = [
@@ -309,7 +344,7 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
         *("    " + line for line in nested),
         "    try:",
         "        for index, v in items:",
-        *("            " + line for line in _node_loops(*segments[0], inner)),
+        *("            " + line for line in _node_loops(operators, *segments[0], inner)),
         "    finally:",
         *(f"        counts[n{k}] += c{k}" for k in range(n + 1)),
     ]

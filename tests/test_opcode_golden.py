@@ -8,9 +8,7 @@ whose filename is `<streamlab drain>`. At parallelism 1 both engines
 run the job on the calling thread, so one hook sees all of it. The
 counts, per record and split by function, are compared with
 tests/golden_opcodes.txt. Unlike a timing, a count is exact, so a
-change of what each record costs shows here as a changed row. A
-builder adapter is named by the node it was built for, after the
-function's qualified name.
+change of what each record costs shows here as a changed row.
 
 Bytecode differs from one CPython release to the next, so the test
 runs only on CPython 3.11.7, the interpreter the golden was generated
@@ -40,24 +38,9 @@ GENERATED = "<streamlab drain>"
 INTERPRETER = ("CPython", "3.11.7")
 
 
-def _adapter_nodes(topology) -> dict[int, str]:
-    """id(user function) -> node name, for each node whose fn is a
-    builder adapter closing over the user's function."""
-    nodes = {}
-    for op in topology.operators:
-        code = getattr(op.fn, "__code__", None)
-        if code is None or not code.co_qualname.startswith("TopologyBuilder."):
-            continue
-        cells = dict(zip(code.co_freevars, op.fn.__closure__ or ()))
-        if "fn" in cells:
-            nodes[id(cells["fn"].cell_contents)] = op.name
-    return nodes
-
-
 def count_opcodes(job) -> Counter:
     """Run job once; bytecodes executed per function of streamlab."""
     counts = Counter()
-    nodes = _adapter_nodes(job.topology)
 
     def key(frame) -> str | None:
         code = frame.f_code
@@ -67,10 +50,7 @@ def count_opcodes(job) -> Counter:
         if not path.startswith(PACKAGE_DIR):
             return None
         module = Path(path).stem
-        name = f"{module}.{code.co_qualname.replace('.<locals>', '')}"
-        if code.co_qualname.startswith("TopologyBuilder.") and "fn" in code.co_freevars:
-            name += f"[{nodes[id(frame.f_locals['fn'])]}]"
-        return name
+        return f"{module}.{code.co_qualname.replace('.<locals>', '')}"
 
     def on_call(frame, event, arg):
         name = key(frame)

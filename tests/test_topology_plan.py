@@ -75,6 +75,19 @@ class TestBuilder:
         with pytest.raises(TopologyError):
             TopologyBuilder("input", -1)
 
+    @pytest.mark.parametrize("with_index", [False, True])
+    @pytest.mark.parametrize("method", ["map", "filter", "flat_map"])
+    def test_nodes_keep_the_function_as_given(self, method, with_index):
+        def fn(v, i=0):
+            return v
+
+        builder = getattr(TopologyBuilder("input", 1), method)
+        topo = builder(fn, name="node", with_index=with_index).sink_write("out").build()
+        assert topo.operators == (
+            OperatorSpec("node", fn, method, with_index),
+            OperatorSpec("sink", None, "sink"),
+        )
+
 
 def drain_record(chain, index, payload, invocations):
     """run_chain's signature over a compiled drain: one record through
@@ -82,7 +95,7 @@ def drain_record(chain, index, payload, invocations):
     invocations, also when a node fails."""
     out = []
     counts = defaultdict(int)
-    drain = compile_drain((*chain, OperatorSpec("collect", None)))
+    drain = compile_drain((*chain, OperatorSpec("collect", None, "sink")))
     try:
         drain([(index, payload)], lambda partition, value: out.append(value), counts)
     finally:
@@ -224,6 +237,71 @@ class TestRunChain:
         )
         out = run_chain(chain, 0, payload, {"filter": 0})
         assert type(out) is list and out == expected
+
+    @pytest.mark.parametrize("run", [run for run, _ in RUNNERS])
+    def test_a_filter_result_whose_truth_test_fails_names_the_filter(self, run):
+        class Undecided:
+            def __bool__(self):
+                raise ValueError("no truth value")
+
+        chain = (
+            TopologyBuilder("input", 1)
+            .filter(lambda v: Undecided(), name="keep")
+            .sink_write("out")
+            .build()
+            .operators[:-1]
+        )
+        with pytest.raises(OperatorFailure) as info:
+            run(chain, 5, b"x", {"keep": 0})
+        assert (info.value.node, info.value.index) == ("keep", 5)
+        assert isinstance(info.value.cause, ValueError)
+
+
+def _chain_failing_on_3(builder, method):
+    """builder with a node "node" of method's shape, whose function raises
+    an OperatorFailure naming another node on element 3, then a map."""
+
+    def fn(v, i):
+        if i == 3:
+            raise OperatorFailure("elsewhere", 99, ValueError(v))
+        return [v] if method == "flat_map" else v
+
+    return getattr(builder, method)(fn, name="node", with_index=True).map(
+        lambda v: v, name="after"
+    )
+
+
+@pytest.mark.parametrize("run", [run for run, _ in RUNNERS])
+@pytest.mark.parametrize("method", ["map", "filter", "flat_map"])
+def test_an_operator_failure_from_a_node_function_names_that_node(method, run):
+    chain = _chain_failing_on_3(TopologyBuilder("input", 5), method)
+    chain = chain.sink_write("out").build().operators[:-1]
+    invocations = {"node": 0, "after": 0}
+    assert run(chain, 2, b"x", invocations) == [b"x"]
+    with pytest.raises(OperatorFailure) as info:
+        run(chain, 3, b"y", invocations)
+    assert (info.value.node, info.value.index) == ("node", 3)
+    assert (info.value.cause.node, info.value.cause.index) == ("elsewhere", 99)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+@pytest.mark.parametrize("method", ["map", "filter", "flat_map"])
+def test_engines_name_the_node_whose_function_raised_an_operator_failure(
+    method, engine_cls, parallelism, run_with_timeout
+):
+    broker = LogBroker()
+    source = broker.create_topic(TopicConfig("input"))
+    for i in range(5):
+        source.append(0, b"r%d" % i)
+    broker.create_topic(TopicConfig("out"))
+    engine = engine_cls(broker)
+    topo = _chain_failing_on_3(engine.build("input", 5), method).sink_write("out").build()
+    finished, raised = run_with_timeout(lambda: engine.execute(topo, parallelism))
+    assert finished
+    assert isinstance(raised, OperatorFailure)
+    assert (raised.node, raised.index) == ("node", 3)
+    assert (raised.cause.node, raised.cause.index) == ("elsewhere", 99)
 
 
 # One random chain node: (builder method, with_index, a flat_map's
