@@ -242,8 +242,16 @@ def cmd_all(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line, in a subparser too, is a ConfigError:
+    argparse's own exit code, 2, is the run-failure code here."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="streamlab")
+    parser = _Parser(prog="streamlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="run all configured setups")
@@ -269,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
     try:
-        if unknown:
-            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, CorpusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

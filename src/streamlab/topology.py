@@ -13,11 +13,11 @@ through the chain into the sink; and `job_report` sums the per-lane
 counts. As in an engine that chains operators into one task, each
 element makes one pass with one call per node and no inter-operator
 queueing, and the generated code calls each node's function directly,
-as its shape needs: a map's result is the next value, a filter's truth
-guards the rest of the chain, and only a flat_map loops over its
-outputs, with nothing fused. `run_chain` is the reference definition
-of one element's pass, which tests compare the generated drain with;
-no engine calls it.
+as its shape needs: a map's result is the next value, a filter whose
+result is false moves on to the next value, and only a flat_map loops
+over its outputs, with nothing fused. `run_chain` is the reference
+definition of one element's pass, which tests compare the generated
+drain with; no engine calls it.
 """
 
 from __future__ import annotations
@@ -249,40 +249,38 @@ def _outputs(op: OperatorSpec, v, index: int):
 
 
 _DRAIN_FILE = "<streamlab drain>"  # co_filename of generated code
-_NODES_PER_FUNCTION = 8  # CPython nests at most 20 blocks in one function
 
 
-def _node_loops(operators, k: int, stop: int, inner: list[str]) -> list[str]:
-    """Source lines that run nodes k..stop-1 on v, each output of node j
-    going through nodes j+1.. and then inner. Each node's call is in its
-    own try; only a flat_map node loops, and the nodes after a filter
-    run under an if."""
-    if k == stop:
-        return inner
-    op = operators[k]
-    call = f"f{k}(v, index)" if op.with_index else f"f{k}(v)"
-    rest = _node_loops(operators, k + 1, stop, inner)
-    wrap = [
-        "except Exception as exc:",
-        f"    raise _DrainFailure(n{k}, index, exc) from exc",
-    ]
-    # As for the sink, a try on its body's line costs no NOP.
-    if op.shape == "map":
-        return [f"c{k} += 1", f"try: v = {call}", *wrap, *rest]
-    if op.shape == "filter":
-        return [
-            f"c{k} += 1", f"try: drop = not {call}", *wrap,
-            "if not drop:", *("    " + line for line in rest),
+def _node_loops(operators, inner: list[str]) -> list[str]:
+    """Source lines that run a chain without its sink on v, each output
+    of node k going through nodes k+1.. and then inner. Each node's call
+    is in its own try; only a flat_map node loops, and a filter that
+    drops v continues the innermost loop."""
+    lines = inner
+    for k in reversed(range(len(operators))):
+        op = operators[k]
+        call = f"f{k}(v, index)" if op.with_index else f"f{k}(v)"
+        wrap = [
+            "except Exception as exc:",
+            f"    raise _DrainFailure(n{k}, index, exc) from exc",
         ]
-    return [
-        f"c{k} += 1",
-        "try:",
-        f"    for v in {call}:",
-        *("        " + line for line in rest),
-        "except _DrainFailure:",
-        "    raise",
-        *wrap,
-    ]
+        # As for the sink, a try on its body's line costs no NOP; an
+        # if cannot share the try's line, so a filter's try has its own.
+        if op.shape == "map":
+            lines = [f"c{k} += 1", f"try: v = {call}", *wrap, *lines]
+        elif op.shape == "filter":
+            lines = [f"c{k} += 1", "try:", f"    if not {call}: continue", *wrap, *lines]
+        else:
+            lines = [
+                f"c{k} += 1",
+                "try:",
+                f"    for v in {call}:",
+                *("        " + line for line in lines),
+                "except _DrainFailure:",
+                "    raise",
+                *wrap,
+            ]
+    return lines
 
 
 def compile_drain(operators: tuple[OperatorSpec, ...]):
@@ -294,8 +292,9 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     and for the sink, the last node, the values appended. Each node is
     one call of its own function per value, in a try of its own, and
     its code follows its shape. Map node k is `v = f_k(v)`, and the
-    nodes after it follow it; a filter is `drop = not f_k(v)`, and the
-    nodes after it run under `if not drop:`; a flat_map is
+    nodes after it follow it; a filter is the guard
+    `if not f_k(v): continue`, which moves on to the innermost loop's
+    next value, and the nodes after it follow it too; a flat_map is
     `for v in f_k(v):`, with the nodes after it in the loop body, so a
     generator is iterated inside its node's try. A node with_index is
     called f_k(v, index). A failure, a filter result's truth test and
@@ -304,8 +303,11 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     OperatorFailure: the drain raises a private subclass, which a
     flat_map's try lets through from the nodes after it. The source text
     holds only indices; each node's function and name reach it through
-    the exec namespace. A function holds at most eight nodes; a longer
-    chain hands each value on to a nested function.
+    the exec namespace. The whole chain is one function, and only a
+    flat_map nests. CPython nests at most 20 blocks in one function:
+    the drain's own try and loop and the sink's handler take four, and
+    each flat_map two, so a chain with more than eight flat_maps raises
+    TopologyError.
 
     It is `run_chain` plus an append per survivor, with the same sink
     order and counts on success: depth-first over nested loops visits
@@ -319,36 +321,25 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     for k, op in enumerate(operators):
         namespace[f"n{k}"] = op.name
         namespace[f"f{k}"] = op.fn
-    bounds = list(range(0, n, _NODES_PER_FUNCTION)) + [n]
-    segments = list(zip(bounds, bounds[1:])) or [(0, 0)]
     inner = [  # the sink; on the try's own line, the try costs no NOP
         f"try: append(0, v); c{n} += 1",
         "except Exception as exc:",
         f"    raise _DrainFailure(n{n}, index, exc) from exc",
     ]
-    nested = []
-    for j in reversed(range(1, len(segments))):
-        start, stop = segments[j]
-        counters = [f"c{k}" for k in range(start, stop)]
-        if j == len(segments) - 1:
-            counters.append(f"c{n}")
-        nested = [
-            f"def s{j}(v, index):",
-            f"    nonlocal {', '.join(counters)}",
-            *("    " + line for line in _node_loops(operators, start, stop, inner)),
-        ] + nested
-        inner = [f"s{j}(v, index)"]
     lines = [
         "def drain(items, append, counts):",
         "    " + " = ".join(f"c{k}" for k in range(n + 1)) + " = 0",
-        *("    " + line for line in nested),
         "    try:",
         "        for index, v in items:",
-        *("            " + line for line in _node_loops(operators, *segments[0], inner)),
+        *("            " + line for line in _node_loops(operators[:n], inner)),
         "    finally:",
         *(f"        counts[n{k}] += c{k}" for k in range(n + 1)),
     ]
-    exec(compile("\n".join(lines) + "\n", _DRAIN_FILE, "exec"), namespace)
+    try:
+        code = compile("\n".join(lines) + "\n", _DRAIN_FILE, "exec")
+    except SyntaxError as exc:  # CPython's "too many statically nested blocks"
+        raise TopologyError(f"a chain of {n} nodes nests too deeply: {exc.msg}") from exc
+    exec(code, namespace)
     return namespace["drain"]
 
 

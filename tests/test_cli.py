@@ -59,6 +59,23 @@ def test_plan_rejects_bad_names(capsys):
     assert run_cli("plan", "nope", "native", "tuple", "1") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--runs", "abc"],
+        ["bench", "--parallelisms", "1,x"],
+        ["plan", "grep", "native", "tuple", "x"],
+        ["bench", "--unknown-flag", "1"],
+        [],
+    ],
+    ids=["runs", "parallelisms", "plan-parallelism", "unknown-flag", "no-command"],
+)
+def test_malformed_command_line_is_a_config_error(argv, capsys):
+    # Exit 2 is the run-failure code, so argparse's own exit must not leak.
+    assert main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_all_writes_full_report(tmp_path):
     assert run_cli("all", *tiny_args(tmp_path)) == 0
     for name in ("results.csv", "stats.csv", "slowdown.csv", "report.md", "metadata.json"):

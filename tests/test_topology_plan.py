@@ -1,8 +1,9 @@
 import random
+import types
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, Topic, TopicConfig
@@ -350,11 +351,20 @@ def fan_out(nodes):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    # Up to ten nodes, so that some chains span two generated functions.
+    # Up to ten nodes, so that some chains have nine flat_maps or more,
+    # which no one generated function can nest.
     nodes=st.lists(NODES, max_size=10).filter(lambda nodes: fan_out(nodes) <= 64),
     start=st.integers(0, 20),
     payloads=st.lists(st.binary(max_size=4), max_size=6),
 )
+# Eight flat_maps, the most that compile; the last fails on b"".
+@example(
+    nodes=[("flat_map", k % 2 == 0, 1, k % 2 == 1, None) for k in range(7)]
+    + [("flat_map", False, 1, False, 0)],
+    start=0,
+    payloads=[b"ab", b""],
+)
+@example(nodes=[("flat_map", False, 1, False, None)] * 9, start=0, payloads=[b"ab"])
 def test_compiled_drain_is_run_chain_plus_append(nodes, start, payloads):
     builder = TopologyBuilder("input", 0)
     for k, (method, with_index, *args) in enumerate(nodes):
@@ -362,6 +372,10 @@ def test_compiled_drain_is_run_chain_plus_append(nodes, start, payloads):
         getattr(builder, method)(fn, name=f"n{k}", with_index=with_index)
     operators = builder.sink_write("out").build().operators
     items = list(enumerate(payloads, start))
+    if sum(method == "flat_map" for method, *_ in nodes) > 8:
+        with pytest.raises(TopologyError, match=f"chain of {len(nodes)} nodes"):
+            compile_drain(operators)
+        return
 
     expected, expected_counts, expected_error = [], dict.fromkeys(
         (op.name for op in operators), 0
@@ -392,9 +406,8 @@ def test_compiled_drain_is_run_chain_plus_append(nodes, start, payloads):
             assert error.node == expected_error.node
 
 
-def test_a_chain_longer_than_one_generated_function():
-    # 20 nodes span three generated functions; node 17 fails on b"a1".
-    builder = TopologyBuilder("input", 0)
+def _twenty_nodes(builder):
+    # Four flat_maps, each doubling every value; node 17 fails on b"a1".
     for k in range(20):
         if k % 6 == 1:
             builder.flat_map(lambda v: [v, v.upper()], name=f"n{k}")
@@ -402,11 +415,33 @@ def test_a_chain_longer_than_one_generated_function():
             builder.filter(lambda v: 1 / (v != b"a1"), name=f"n{k}")
         else:
             builder.map(lambda v, i: v[:1] + b"%d" % i, name=f"n{k}", with_index=True)
+
+
+def _five_hundred_nodes(builder):
+    # Maps and filters only; filters drop b"z", and node 497 fails on b"a1".
+    for k in range(500):
+        if k == 497:
+            builder.filter(lambda v: 1 / (v != b"a1"), name=f"n{k}")
+        elif k % 2:
+            builder.filter(lambda v: v[:1] != b"z", name=f"n{k}")
+        else:
+            builder.map(lambda v, i: v[:1] + b"%d" % i, name=f"n{k}", with_index=True)
+
+
+@pytest.mark.parametrize(
+    "build, failing, outputs",
+    [(_twenty_nodes, "n17", 2 * 2**4), (_five_hundred_nodes, "n497", 1)],
+    ids=["20-nodes", "500-nodes"],
+)
+def test_a_long_chain_is_one_generated_function(build, failing, outputs):
+    builder = TopologyBuilder("input", 0)
+    build(builder)
     operators = builder.sink_write("out").build().operators
-    for items in ([(2, b"x"), (3, b"y")], [(0, b"a"), (1, b"a")]):
+    drain = compile_drain(operators)
+    assert not any(isinstance(c, types.CodeType) for c in drain.__code__.co_consts)
+    for items in ([(2, b"x"), (3, b"z")], [(0, b"a"), (1, b"a")]):
         expected, expected_counts = [], dict.fromkeys((op.name for op in operators), 0)
         out, counts = [], defaultdict(int)
-        drain = compile_drain(operators)
         try:
             for index, payload in items:
                 expected += run_chain(operators[:-1], index, payload, expected_counts)
@@ -414,10 +449,10 @@ def test_a_chain_longer_than_one_generated_function():
         except OperatorFailure as exc:
             with pytest.raises(OperatorFailure) as info:
                 drain(items, lambda partition, value: out.append(value), counts)
-            assert (info.value.node, info.value.index) == (exc.node, exc.index) == ("n17", 1)
+            assert (info.value.node, info.value.index) == (exc.node, exc.index) == (failing, 1)
         else:
             drain(items, lambda partition, value: out.append(value), counts)
-            assert out == expected and len(out) == 2 * 2**4
+            assert out == expected and len(out) == outputs
             assert {op.name: counts[op.name] for op in operators} == expected_counts
 
 
