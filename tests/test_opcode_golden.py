@@ -6,9 +6,17 @@ counts the bytecodes executed in frames of streamlab's own code: files
 under `src/streamlab`, and the drain code that `topology` generates,
 whose filename is `<streamlab drain>`. At parallelism 1 both engines
 run the job on the calling thread, so one hook sees all of it. The
-counts, per record and split by function, are compared with
-tests/golden_opcodes.txt. Unlike a timing, a count is exact, so a
-change of what each record costs shows here as a changed row.
+counts, split by function, are compared with tests/golden_opcodes.txt.
+Unlike a timing, a count is exact, so a change of what each record
+costs shows here as a changed row.
+
+Each setup also runs once on zero records (end_offset=0). That count
+is the job's fixed cost: compiling its drain, starting its lanes,
+reporting. Each row prints a function's opcodes per record, its count
+less the zero-record count divided by the records, and then its
+zero-record count as a per-job column. A setup's header gives both
+totals. So a once-per-job change moves only the per-job column, and a
+per-record row moves only with the work each record costs.
 
 Bytecode differs from one CPython release to the next, so the test
 runs only on CPython 3.11.7, the interpreter the golden was generated
@@ -84,19 +92,30 @@ def render_opcodes() -> str:
         for api_kind in ApiKind:
             for engine in EngineKind:
                 setup = f"{query.value} {api_kind.value} {engine.value} 1"
-                sink = broker.create_topic(TopicConfig(f"out-{setup.replace(' ', '-')}"))
-                job = build_query(
-                    QuerySpec(query), api_kind, engine, broker=broker,
-                    source_topic="input", end_offset=n, sink_topic=sink.name,
-                )
-                counts = count_opcodes(job)
-                total = sum(counts.values())
+
+                def run(end_offset):
+                    sink = broker.create_topic(TopicConfig(
+                        f"out-{end_offset}-{setup.replace(' ', '-')}"
+                    ))
+                    job = build_query(
+                        QuerySpec(query), api_kind, engine, broker=broker,
+                        source_topic="input", end_offset=end_offset,
+                        sink_topic=sink.name,
+                    )
+                    return count_opcodes(job), sink.high_water_mark(0)
+
+                per_job, _ = run(0)
+                counts, out = run(n)
+                total, fixed = sum(counts.values()), sum(per_job.values())
                 lines.append(
-                    f"{setup}: in={n} out={sink.high_water_mark(0)} "
-                    f"opcodes={total} per_record={total / n:.2f}\n"
+                    f"{setup}: in={n} out={out} opcodes={total} per_job={fixed} "
+                    f"per_record={(total - fixed) / n:.2f}\n"
                 )
-                for name in sorted(counts):
-                    lines.append(f"  {counts[name] / n:8.2f} {name}\n")
+                for name in sorted(counts | per_job):
+                    lines.append(
+                        f"  {(counts[name] - per_job[name]) / n:8.2f} "
+                        f"{per_job[name]:6d} {name}\n"
+                    )
     return "".join(lines)
 
 
