@@ -1,10 +1,12 @@
 """Embedded single-node append-only log broker.
 
 Each topic is one in-memory append-only log with dense offsets and a
-broker-assigned append timestamp (milliseconds on a process-wide
-monotonic clock, the same formula as `clock_ms`). The timestamp is
-taken inside the append critical section, so timestamp order can never
-contradict offset order.
+broker-assigned append timestamp. The append stores the raw
+`time.monotonic_ns` reading, taken inside its critical section, so
+timestamp order can never contradict offset order. Readers see the
+stamp in milliseconds since the process epoch, derived on read with
+`clock_ms`'s formula, so a reading gives the same value as `clock_ms`
+at that instant. Like `list.append`, an append returns None.
 
 There are two read paths over the same log: `read` returns `LogEntry`
 records (offset, timestamp and payload), and `read_payloads` returns
@@ -34,10 +36,15 @@ from time import monotonic_ns as _monotonic_ns
 _EPOCH_NS = _monotonic_ns()
 
 
+def _ns_to_ms(ns: int) -> int:
+    """A monotonic_ns reading as milliseconds since process epoch."""
+    return (ns - _EPOCH_NS) // 1_000_000
+
+
 def clock_ms() -> int:
-    """Milliseconds since process epoch on the monotonic clock; the
-    append stamp uses the same formula."""
-    return (_monotonic_ns() - _EPOCH_NS) // 1_000_000
+    """Milliseconds since process epoch on the monotonic clock; readers
+    derive the append stamp with the same formula."""
+    return _ns_to_ms(_monotonic_ns())
 
 
 class BrokerError(Exception):
@@ -71,7 +78,7 @@ class Topic:
     def __init__(self, config: TopicConfig):
         self.config = config
         self._lock = threading.Lock()
-        self._timestamps = array("q")
+        self._timestamps = array("Q")  # raw monotonic_ns readings
         self._payloads: list[bytes] = []
 
     @property
@@ -84,25 +91,23 @@ class Topic:
                 f"topic {self.name!r} has no partition {partition}"
             )
 
-    def append(self, partition: int, payload: bytes) -> tuple[int, int]:
-        """Append a payload and return (offset, append_ts). The entry is
-        readable when the call returns, so appends from one producer
-        keep their order."""
+    def append(self, partition: int, payload: bytes) -> None:
+        """Append a payload at the next offset, stamped with the raw
+        monotonic_ns reading taken under the lock; `read` gives the
+        stamp in ms. Returns None. The entry is readable when the call
+        returns, so appends from one producer keep their order."""
         if partition != 0:
             self._check_partition(partition)
         if type(payload) is not bytes:  # bytes(b) is b for exact bytes
             payload = bytes(payload)
         self._lock.acquire()
         try:
-            ts = (_monotonic_ns() - _EPOCH_NS) // 1_000_000  # clock_ms(), inline
-            offset = len(self._payloads)
             # timestamp first: readers key on len(_payloads), so the
             # timestamp for any visible offset is always present.
-            self._timestamps.append(ts)
+            self._timestamps.append(_monotonic_ns())
             self._payloads.append(payload)
         finally:
             self._lock.release()
-        return offset, ts
 
     def _read_end(self, partition: int, from_offset: int, max_count: int) -> int:
         """Check a read's arguments; return the offset after its last entry."""
@@ -118,7 +123,7 @@ class Topic:
         blocking; empty list at end of log."""
         end = self._read_end(partition, from_offset, max_count)
         return [
-            LogEntry(i, self._timestamps[i], self._payloads[i])
+            LogEntry(i, _ns_to_ms(self._timestamps[i]), self._payloads[i])
             for i in range(from_offset, end)
         ]
 
@@ -129,12 +134,12 @@ class Topic:
         return self._payloads[from_offset:end]
 
     def boundary_timestamps(self, partition: int) -> tuple[int, int]:
-        """(append_ts of first entry, append_ts of last entry)."""
+        """(append_ts of first entry, append_ts of last entry), in ms."""
         self._check_partition(partition)
         n = len(self._payloads)
         if n == 0:
             raise BrokerError("partition is empty")
-        return self._timestamps[0], self._timestamps[n - 1]
+        return _ns_to_ms(self._timestamps[0]), _ns_to_ms(self._timestamps[n - 1])
 
     def high_water_mark(self, partition: int) -> int:
         self._check_partition(partition)

@@ -44,7 +44,12 @@ class ConfigError(Exception):
 
 
 def _parse_int_list(value: str) -> list[int]:
-    return [int(v) for v in value.split(",") if v]
+    try:
+        return [int(v) for v in value.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}"
+        ) from None
 
 
 def _parse_str_list(value: str) -> list[str]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from streamlab import broker as broker_module
 from streamlab.broker import BrokerError, LogBroker, TopicConfig, clock_ms
 
 
@@ -54,17 +55,25 @@ def test_drop_topic(broker):
 
 def test_appends_get_dense_offsets(broker):
     topic = broker.create_topic(TopicConfig("out-run-3", partitions=1))
-    offsets = [topic.append(0, b"payload-%d" % i)[0] for i in range(5)]
+    offsets = []
+    for i in range(5):
+        assert topic.append(0, b"payload-%d" % i) is None
+        offsets.append(topic.high_water_mark(0) - 1)
     assert offsets == [0, 1, 2, 3, 4]
+    entries = topic.read(0, 0, 10)
+    assert [(e.offset, e.payload) for e in entries] == [
+        (i, b"payload-%d" % i) for i in range(5)
+    ]
     assert_log_coherent(topic)
 
 
 def test_sequential_appends_monotone_timestamps(broker):
     topic = broker.create_topic(TopicConfig("t"))
-    off1, ts1 = topic.append(0, b"a")
-    off2, ts2 = topic.append(0, b"b")
-    assert (off1, off2) == (0, 1)
-    assert ts1 <= ts2
+    topic.append(0, b"a")
+    topic.append(0, b"b")
+    first, second = topic.read(0, 0, 2)
+    assert (first.offset, second.offset) == (0, 1)
+    assert first.append_ts <= second.append_ts
 
 
 def test_append_to_unknown_topic(broker):
@@ -170,12 +179,27 @@ def test_read_payloads_returns_a_copy(broker):
 
 def test_append_stamp_is_the_clock_during_the_append(broker):
     topic = broker.create_topic(TopicConfig("t"))
-    for _ in range(100):
+    for offset in range(100):
         before = clock_ms()
-        offset, ts = topic.append(0, b"x")
+        topic.append(0, b"x")
         after = clock_ms()
-        assert before <= ts <= after
-        assert topic.read(0, offset, 1)[0].append_ts == ts
+        [entry] = topic.read(0, offset, 1)
+        assert entry.offset == offset
+        assert before <= entry.append_ts <= after
+    assert topic.high_water_mark(0) == 100
+
+
+def test_append_ts_floors_the_reading_to_whole_ms(broker, monkeypatch):
+    # Readings that straddle ms boundaries: a stamp in ms must be the
+    # floor of (reading - epoch) / 1 ms, exactly as clock_ms computes it.
+    epoch = broker_module._EPOCH_NS
+    readings = iter([epoch + 999_999, epoch + 1_000_000, epoch + 2_500_000])
+    monkeypatch.setattr(broker_module, "_monotonic_ns", lambda: next(readings))
+    topic = broker.create_topic(TopicConfig("t"))
+    for payload in (b"a", b"b", b"c"):
+        topic.append(0, payload)
+    assert [e.append_ts for e in topic.read(0, 0, 3)] == [0, 1, 2]
+    assert topic.boundary_timestamps(0) == (0, 2)
 
 
 def test_interleaved_appends_and_reads_replay():

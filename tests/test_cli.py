@@ -76,6 +76,15 @@ def test_malformed_command_line_is_a_config_error(argv, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_malformed_list_flag_names_what_was_expected(capsys):
+    assert main(["bench", "--parallelisms", "1,x"]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "argument --parallelisms: expected comma-separated integers, got '1,x'" in err
+    )
+    assert "_parse_int_list" not in err
+
+
 def test_all_writes_full_report(tmp_path):
     assert run_cli("all", *tiny_args(tmp_path)) == 0
     for name in ("results.csv", "stats.csv", "slowdown.csv", "report.md", "metadata.json"):
