@@ -82,6 +82,18 @@ def count_opcodes(job) -> Counter:
     return counts
 
 
+def run_job(broker, query, api_kind, engine, end_offset) -> tuple[Counter, int]:
+    """Opcodes of one p1 job over records [0, end_offset), and its records out."""
+    sink = broker.create_topic(TopicConfig(
+        f"out-{end_offset}-{query.value}-{api_kind.value}-{engine.value}"
+    ))
+    job = build_query(
+        QuerySpec(query), api_kind, engine, broker=broker,
+        source_topic="input", end_offset=end_offset, sink_topic=sink.name,
+    )
+    return count_opcodes(job), sink.high_water_mark(0)
+
+
 def render_opcodes() -> str:
     broker = LogBroker()
     broker.create_topic(TopicConfig("input"))
@@ -92,20 +104,8 @@ def render_opcodes() -> str:
         for api_kind in ApiKind:
             for engine in EngineKind:
                 setup = f"{query.value} {api_kind.value} {engine.value} 1"
-
-                def run(end_offset):
-                    sink = broker.create_topic(TopicConfig(
-                        f"out-{end_offset}-{setup.replace(' ', '-')}"
-                    ))
-                    job = build_query(
-                        QuerySpec(query), api_kind, engine, broker=broker,
-                        source_topic="input", end_offset=end_offset,
-                        sink_topic=sink.name,
-                    )
-                    return count_opcodes(job), sink.high_water_mark(0)
-
-                per_job, _ = run(0)
-                counts, out = run(n)
+                per_job, _ = run_job(broker, query, api_kind, engine, 0)
+                counts, out = run_job(broker, query, api_kind, engine, n)
                 total, fixed = sum(counts.values()), sum(per_job.values())
                 lines.append(
                     f"{setup}: in={n} out={out} opcodes={total} per_job={fixed} "
