@@ -1,4 +1,6 @@
 import hashlib
+import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 
 from streamlab.broker import LogBroker, TopicConfig
 from streamlab.corpus import (
+    _TIME_BASE,
+    _TIME_SPAN_SECONDS,
+    _VOCABULARY,
     CorpusError,
     CorpusSpec,
     MalformedRecordError,
@@ -179,6 +184,62 @@ class TestGeneration:
             CorpusSpec(n_records=5, grep_needle="")
         with pytest.raises(ValueError):
             CorpusSpec(n_records=5, grep_needle="a\tb")
+
+
+def reference_payloads(spec):
+    """The corpus of spec written the plain way, with the random module's
+    own wrappers: `iter_payloads` must draw the same words from the same
+    stream, in this order, and format the same bytes."""
+    rng = random.Random(spec.rng_seed)
+    needle = spec.grep_needle
+    words = [w for w in _VOCABULARY if needle not in w]
+    if not words:
+        raise CorpusError("no needle-free word")
+    match_rows = set(rng.sample(range(spec.n_records), spec.resolved_match_count()))
+    payloads = []
+    for i in range(spec.n_records):
+        for _ in range(100):
+            tokens = [rng.choice(words) for _ in range(rng.randint(1, 4))]
+            if i in match_rows:
+                tokens.insert(rng.randrange(len(tokens) + 1), needle)
+            offset = rng.randrange(_TIME_SPAN_SECONDS)
+            when = (_TIME_BASE + timedelta(seconds=offset)).strftime("%Y-%m-%d %H:%M:%S")
+            if rng.random() < 0.5:
+                user = rng.randrange(100, 25_000_000)
+                rank, url = rng.randint(1, 10), f"www.{rng.choice(words)}.com"
+            else:
+                user, rank, url = rng.randrange(100, 25_000_000), "", ""
+            line = f"{user}\t{' '.join(tokens)}\t{when}\t{rank}\t{url}"
+            if (needle in line) == (i in match_rows):
+                break
+        else:
+            raise CorpusError("no needle-free record")
+        payloads.append(line.encode())
+    return payloads
+
+
+def payloads_or_error(generate, spec):
+    try:
+        return list(generate(spec))
+    except CorpusError:
+        return CorpusError
+
+
+# "2006" is in every query time, so only a corpus of match rows exists.
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(1, 300),
+    needle=st.sampled_from(["test", "99", "flowers", "2006"]),
+    data=st.data(),
+)
+def test_payloads_equal_the_plain_reference(seed, n_records, needle, data):
+    matches = data.draw(st.one_of(st.none(), st.integers(0, n_records)))
+    spec = CorpusSpec(n_records, grep_needle=needle, grep_match_count=matches, rng_seed=seed)
+    expected = payloads_or_error(reference_payloads, spec)
+    assert payloads_or_error(iter_payloads, spec) == expected
+    if needle == "2006" and spec.resolved_match_count() < n_records:
+        assert expected is CorpusError
 
 
 class TestSend:
