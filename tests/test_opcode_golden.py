@@ -18,6 +18,12 @@ zero-record count as a per-job column. A setup's header gives both
 totals. So a once-per-job change moves only the per-job column, and a
 per-record row moves only with the work each record costs.
 
+After the 16 job blocks, one ingest block counts
+`send(iter_payloads(CORPUS), ...)` into a fresh broker under the same
+hook: the corpus generator and the sender. A corpus has at least one
+record, so it has no zero-record run; its header gives the total and
+the total per record, and each row a function's opcodes per record.
+
 Bytecode differs from one CPython release to the next, so the test
 runs only on CPython 3.11.7, the interpreter the golden was generated
 with. To regenerate the file after an intended change of per-record
@@ -46,8 +52,8 @@ GENERATED = "<streamlab drain>"
 INTERPRETER = ("CPython", "3.11.7")
 
 
-def count_opcodes(job) -> Counter:
-    """Run job once; bytecodes executed per function of streamlab."""
+def count_opcodes(run) -> Counter:
+    """Call run() once; bytecodes executed per function of streamlab."""
     counts = Counter()
 
     def key(frame) -> str | None:
@@ -76,7 +82,7 @@ def count_opcodes(job) -> Counter:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        job.execute()
+        run()
     finally:
         sys.settrace(previous)
     return counts
@@ -91,7 +97,7 @@ def run_job(broker, query, api_kind, engine, end_offset) -> tuple[Counter, int]:
         QuerySpec(query), api_kind, engine, broker=broker,
         source_topic="input", end_offset=end_offset, sink_topic=sink.name,
     )
-    return count_opcodes(job), sink.high_water_mark(0)
+    return count_opcodes(job.execute), sink.high_water_mark(0)
 
 
 def render_opcodes() -> str:
@@ -116,6 +122,13 @@ def render_opcodes() -> str:
                         f"  {(counts[name] - per_job[name]) / n:8.2f} "
                         f"{per_job[name]:6d} {name}\n"
                     )
+    ingest = LogBroker()
+    ingest.create_topic(TopicConfig("input"))
+    counts = count_opcodes(lambda: send(iter_payloads(CORPUS), ingest, "input"))
+    total = sum(counts.values())
+    lines.append(f"ingest: in={n} opcodes={total} per_record={total / n:.2f}\n")
+    for name in sorted(counts):
+        lines.append(f"  {counts[name] / n:8.2f} {name}\n")
     return "".join(lines)
 
 
