@@ -8,13 +8,17 @@ contains the grep needle and a guarantee that no other row contains it
 anywhere in its serialized form. Every value comes from one seeded
 Mersenne-Twister stream (`random.Random`) in a fixed draw order: the
 match rows through `sample`, the click coin through `random`, and
-every other field through `getrandbits`. The corpus digests pinned in
-the tests guard that stream and order; moving one draw changes every
-record after it and fails them. The payloads are the canonical form:
-`iter_payloads` formats each line once as bytes, tests the needle on
-it and yields it, so the sender appends a corpus of any size without
-holding it or building a record; `generate_corpus` parses the same
-payloads into validated `SearchLogRecord`s.
+every other field through `getrandbits`, in CPython's own rejection
+loop (what `randint`, `randrange` and `choice` reduce to) written
+inline. A query time is a day table and a minute table lookup plus
+the seconds. The corpus digests pinned in the tests, and a reference
+generator written with the random module's own wrappers, guard that
+stream and order; moving one draw changes every record after it and
+fails them. The payloads are the canonical form: `iter_payloads`
+formats each line once as bytes, tests the needle on it and yields it,
+so the sender appends a corpus of any size without holding it or
+building a record; `generate_corpus` parses the same payloads into
+validated `SearchLogRecord`s.
 """
 
 from __future__ import annotations
@@ -123,13 +127,16 @@ _VOCABULARY = (
 
 _TIME_BASE = datetime(2006, 3, 1)
 _TIME_SPAN_SECONDS = 90 * 24 * 3600
-# b"YYYY-MM-DD " for each day of the span, so a query time is a table
-# lookup plus divmod instead of datetime arithmetic and strftime.
+# b"YYYY-MM-DD " for each day of the span and b"HH:MM:" for each minute
+# of a day, so a query time is two table lookups plus divmod instead of
+# datetime arithmetic and strftime.
 _DAY_PREFIXES = tuple(
     (_TIME_BASE + timedelta(days=d)).strftime("%Y-%m-%d ").encode()
     for d in range(_TIME_SPAN_SECONDS // 86400)
 )
+_MINUTE_PREFIXES = tuple(b"%02d:%02d:" % divmod(m, 60) for m in range(1440))
 
+_USER_IDS = 24_999_900  # user ids are 100 + a draw below this
 _MAX_DRAW_ATTEMPTS = 100
 
 
@@ -144,14 +151,17 @@ def iter_payloads(spec: CorpusSpec) -> Iterator[bytes]:
     words = tuple(w.encode() for w in _VOCABULARY if needle not in w)
     if not words:
         raise CorpusError(f"needle {needle!r} occurs in every vocabulary word")
-    n_words = len(words)
+    n_words, span = len(words), _TIME_SPAN_SECONDS
+    day_prefixes, minute_prefixes = _DAY_PREFIXES, _MINUTE_PREFIXES
 
     match_rows = set(rng.sample(range(spec.n_records), spec.resolved_match_count()))
     getrandbits, uniform = rng.getrandbits, rng.random
 
     # CPython's Random._randbelow_with_getrandbits, to which randint,
-    # randrange and choice all reduce: drawing through it directly
-    # consumes the same stream, in the same order, as those wrappers.
+    # randrange and choice all reduce: drawing through it consumes the
+    # same stream, in the same order, as those wrappers. The loop below
+    # writes it inline as `r = getrandbits(k)` while r >= n, with each
+    # fixed bound's k computed here once.
     def below(n: int) -> int:
         k = n.bit_length()
         r = getrandbits(k)
@@ -159,32 +169,57 @@ def iter_payloads(spec: CorpusSpec) -> Iterator[bytes]:
             r = getrandbits(k)
         return r
 
+    k_count, k_word, k_span, k_user, k_rank = (
+        n.bit_length() for n in (4, n_words, span, _USER_IDS, 10)
+    )
     for i in range(spec.n_records):
         is_match = i in match_rows
-        for _ in range(_MAX_DRAW_ATTEMPTS):
+        attempts = 0
+        while True:
             # The draw order is part of the corpus: token count, tokens,
             # needle slot (match rows), time offset, click coin, user id,
             # then rank and URL (clicked rows).
-            tokens = [words[below(n_words)] for _ in range(1 + below(4))]
+            count = getrandbits(k_count)
+            while count >= 4:
+                count = getrandbits(k_count)
+            tokens = []
+            for _ in range(1 + count):
+                w = getrandbits(k_word)
+                while w >= n_words:
+                    w = getrandbits(k_word)
+                tokens.append(words[w])
             if is_match:
                 tokens.insert(below(len(tokens) + 1), needle_bytes)
-            day, second = divmod(below(_TIME_SPAN_SECONDS), 86400)
-            hour, second = divmod(second, 3600)
-            minute, second = divmod(second, 60)
-            query, when = b" ".join(tokens), _DAY_PREFIXES[day]
-            if uniform() < 0.5:  # clicked: user id, then rank and URL
-                payload = b"%d\t%s\t%s%02d:%02d:%02d\t%d\twww.%s.com" % (
-                    100 + below(24_999_900), query, when, hour, minute, second,
-                    1 + below(10), words[below(n_words)])
+            t = getrandbits(k_span)
+            while t >= span:
+                t = getrandbits(k_span)
+            minutes, second = divmod(t, 60)
+            day, minute = divmod(minutes, 1440)
+            clicked = uniform() < 0.5
+            user = getrandbits(k_user)
+            while user >= _USER_IDS:
+                user = getrandbits(k_user)
+            if clicked:
+                rank = getrandbits(k_rank)
+                while rank >= 10:
+                    rank = getrandbits(k_rank)
+                w = getrandbits(k_word)
+                while w >= n_words:
+                    w = getrandbits(k_word)
+                payload = b"%d\t%s\t%s%s%02d\t%d\twww.%s.com" % (
+                    100 + user, b" ".join(tokens), day_prefixes[day],
+                    minute_prefixes[minute], second, 1 + rank, words[w])
             else:
-                payload = b"%d\t%s\t%s%02d:%02d:%02d\t\t" % (
-                    100 + below(24_999_900), query, when, hour, minute, second)
+                payload = b"%d\t%s\t%s%s%02d\t\t" % (
+                    100 + user, b" ".join(tokens), day_prefixes[day],
+                    minute_prefixes[minute], second)
             if (needle_bytes in payload) == is_match:
                 break
-        else:
-            raise CorpusError(
-                f"could not generate a needle-free record for needle {needle!r}"
-            )
+            attempts += 1
+            if attempts == _MAX_DRAW_ATTEMPTS:
+                raise CorpusError(
+                    f"could not generate a needle-free record for needle {needle!r}"
+                )
         yield payload
 
 
