@@ -55,6 +55,12 @@ class _DrainFailure(OperatorFailure):
 
 _NAME_RE = re.compile(r"[\w.:-]+")
 
+# The most flat_maps one chain may hold. `compile_drain` generates the
+# chain as one function, and CPython nests at most 20 blocks in one
+# function: the drain's own try and loop and the sink's handler take
+# four, and each flat_map two.
+MAX_FLAT_MAPS = 8
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -94,7 +100,8 @@ class JobReport:
 
 
 class TopologyBuilder:
-    """Chainable builder; sink_write is required before build()."""
+    """Chainable builder; sink_write is required before build(), which
+    refuses a chain of more than MAX_FLAT_MAPS flat_maps."""
 
     def __init__(
         self,
@@ -136,6 +143,11 @@ class TopologyBuilder:
     def build(self) -> Topology:
         if self._sink_topic is None:
             raise TopologyError("topology has no sink; call sink_write")
+        if sum(op.shape == "flat_map" for op in self._operators) > MAX_FLAT_MAPS:
+            raise TopologyError(
+                f"a chain of {len(self._operators) - 1} nodes nests too deeply: "
+                f"more than {MAX_FLAT_MAPS} flat_maps"
+            )
         return Topology(
             source_topic=self._source_topic,
             end_offset=self._end_offset,
@@ -304,10 +316,9 @@ def compile_drain(operators: tuple[OperatorSpec, ...]):
     flat_map's try lets through from the nodes after it. The source text
     holds only indices; each node's function and name reach it through
     the exec namespace. The whole chain is one function, and only a
-    flat_map nests. CPython nests at most 20 blocks in one function:
-    the drain's own try and loop and the sink's handler take four, and
-    each flat_map two, so a chain with more than eight flat_maps raises
-    TopologyError.
+    flat_map nests, so it compiles for the chains `TopologyBuilder.build`
+    accepts, with at most MAX_FLAT_MAPS flat_maps; a longer chain of
+    operators built by hand raises TopologyError here.
 
     It is `run_chain` plus an append per survivor, with the same sink
     order and counts on success: depth-first over nested loops visits

@@ -10,6 +10,7 @@ from streamlab.broker import LogBroker, Topic, TopicConfig
 from streamlab.microbatch import MicrobatchEngine
 from streamlab.plan import plan_from_topology, plan_to_text
 from streamlab.topology import (
+    MAX_FLAT_MAPS,
     OperatorFailure,
     OperatorSpec,
     TopologyBuilder,
@@ -352,7 +353,7 @@ def fan_out(nodes):
 @settings(max_examples=300, deadline=None)
 @given(
     # Up to ten nodes, so that some chains have nine flat_maps or more,
-    # which no one generated function can nest.
+    # which no one generated function can nest and build() refuses.
     nodes=st.lists(NODES, max_size=10).filter(lambda nodes: fan_out(nodes) <= 64),
     start=st.integers(0, 20),
     payloads=st.lists(st.binary(max_size=4), max_size=6),
@@ -370,12 +371,13 @@ def test_compiled_drain_is_run_chain_plus_append(nodes, start, payloads):
     for k, (method, with_index, *args) in enumerate(nodes):
         fn = random_node_fn(method, with_index, *args)
         getattr(builder, method)(fn, name=f"n{k}", with_index=with_index)
-    operators = builder.sink_write("out").build().operators
-    items = list(enumerate(payloads, start))
-    if sum(method == "flat_map" for method, *_ in nodes) > 8:
+    builder.sink_write("out")
+    if sum(method == "flat_map" for method, *_ in nodes) > MAX_FLAT_MAPS:
         with pytest.raises(TopologyError, match=f"chain of {len(nodes)} nodes"):
-            compile_drain(operators)
+            builder.build()
         return
+    operators = builder.build().operators
+    items = list(enumerate(payloads, start))
 
     expected, expected_counts, expected_error = [], dict.fromkeys(
         (op.name for op in operators), 0

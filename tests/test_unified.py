@@ -16,6 +16,7 @@ from streamlab.queries import (
     build_query,
     build_unified_pipeline,
 )
+from streamlab.topology import MAX_FLAT_MAPS, TopologyError
 from streamlab.tuple_engine import TupleEngine
 from streamlab.unified import (
     ParDo,
@@ -43,6 +44,14 @@ def fresh_broker(payloads, topic="input"):
 def read_all(broker, topic):
     t = broker.topic(topic)
     return [e.payload for e in t.read(0, 0, t.high_water_mark(0))]
+
+
+def identity_pipeline(n_pardos, end_offset):
+    """n_pardos identity ParDos. Each ParDo, and the envelope FlatMap,
+    translates to a flat_map, so MAX_FLAT_MAPS - 1 ParDos is the longest
+    pipeline that runs."""
+    pardos = tuple(ParDo(f"id{k}", lambda v: [v]) for k in range(n_pardos))
+    return Pipeline(ReadFromLog("input", end_offset), pardos, WriteToLog("out-u"))
 
 
 class TestGroupByKeySemantics:
@@ -185,6 +194,37 @@ class TestTranslate:
         engine_cls(broker).execute(native, 2)
         expected = Counter(w for i, v in enumerate(payloads) for t in tag(v, i) for w in twice(t))
         assert Counter(read_all(broker, "out-u")) == Counter(read_all(broker, "out-n")) == expected
+
+
+    @pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+    def test_a_pipeline_too_long_to_compile_is_refused_at_translate(self, engine_cls):
+        broker = fresh_broker([b"r0", b"r1"])
+        pipeline = identity_pipeline(MAX_FLAT_MAPS, 2)
+        with pytest.raises(TopologyError, match="a chain of 12 nodes nests too deeply"):
+            translate(pipeline, engine_cls(broker), 2)
+        native = engine_cls(broker).build("input", 2)
+        for k in range(MAX_FLAT_MAPS + 1):
+            native.flat_map(lambda v: [v], name=f"id{k}")
+        with pytest.raises(TopologyError, match="a chain of 9 nodes nests too deeply"):
+            native.sink_write("out-n").build()
+
+    @pytest.mark.parametrize("engine_cls", [TupleEngine, MicrobatchEngine])
+    def test_the_longest_pipeline_runs_and_matches_native(self, engine_cls):
+        payloads = [b"r%d" % i for i in range(200)]
+        broker = fresh_broker(payloads)
+        unified = translate(
+            identity_pipeline(MAX_FLAT_MAPS - 1, len(payloads)), engine_cls(broker), 2
+        )
+        native = engine_cls(broker).build("input", len(payloads))
+        for k in range(MAX_FLAT_MAPS - 1):
+            native.flat_map(lambda v: [v], name=f"id{k}")
+        native = native.sink_write("out-n").build()
+        for topic in ("out-u", "out-n"):
+            broker.create_topic(TopicConfig(topic))
+        unified.execute()
+        engine_cls(broker).execute(native, 2)
+        assert Counter(read_all(broker, "out-u")) == Counter(read_all(broker, "out-n"))
+        assert Counter(read_all(broker, "out-u")) == Counter(payloads)
 
 
 class TestSemanticTransparency:
